@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/tukwila/adp/internal/bench"
@@ -28,13 +29,13 @@ func main() {
 	)
 	flag.Parse()
 	cfg := bench.Config{SF: *sf, Seed: *seed, PollEvery: *poll, Partitions: *partitions}
-	if err := run(*experiment, cfg); err != nil {
+	if err := run(os.Stdout, *experiment, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "adpbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment string, cfg bench.Config) error {
+func run(w io.Writer, experiment string, cfg bench.Config) error {
 	want := func(names ...string) bool {
 		if experiment == "all" {
 			return true
@@ -54,10 +55,10 @@ func run(experiment string, cfg bench.Config) error {
 			return err
 		}
 		if want("figure2") {
-			fmt.Println(bench.FormatComparison("Figure 2: static vs corrective vs plan partitioning (local data, virtual seconds)", cells))
+			fmt.Fprintln(w, bench.FormatComparison("Figure 2: static vs corrective vs plan partitioning (local data, virtual seconds)", cells))
 		}
 		if want("table1") {
-			fmt.Println(bench.FormatPhaseTable("Table 1: corrective breakdown (local data)", cells))
+			fmt.Fprintln(w, bench.FormatPhaseTable("Table 1: corrective breakdown (local data)", cells))
 		}
 	}
 	if want("figure3", "table2") {
@@ -67,10 +68,10 @@ func run(experiment string, cfg bench.Config) error {
 			return err
 		}
 		if want("figure3") {
-			fmt.Println(bench.FormatComparison("Figure 3: the same comparison over a bursty wireless link", cells))
+			fmt.Fprintln(w, bench.FormatComparison("Figure 3: the same comparison over a bursty wireless link", cells))
 		}
 		if want("table2") {
-			fmt.Println(bench.FormatPhaseTable("Table 2: corrective breakdown (wireless)", cells))
+			fmt.Fprintln(w, bench.FormatPhaseTable("Table 2: corrective breakdown (wireless)", cells))
 		}
 	}
 	if want("section45") {
@@ -79,7 +80,7 @@ func run(experiment string, cfg bench.Config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 	}
 	if want("figure5", "table3") {
 		matched = true
@@ -88,10 +89,10 @@ func run(experiment string, cfg bench.Config) error {
 			return err
 		}
 		if want("figure5") {
-			fmt.Println(bench.FormatFigure5(cells))
+			fmt.Fprintln(w, bench.FormatFigure5(cells))
 		}
 		if want("table3") {
-			fmt.Println(bench.FormatTable3(cells))
+			fmt.Fprintln(w, bench.FormatTable3(cells))
 		}
 	}
 	if want("figure6") {
@@ -100,7 +101,7 @@ func run(experiment string, cfg bench.Config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.FormatFigure6(cells))
+		fmt.Fprintln(w, bench.FormatFigure6(cells))
 	}
 	if want("ablations") {
 		matched = true
@@ -108,7 +109,7 @@ func run(experiment string, cfg bench.Config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.FormatAblations(rows))
+		fmt.Fprintln(w, bench.FormatAblations(rows))
 	}
 	if !matched {
 		return fmt.Errorf("unknown experiment %q", experiment)
