@@ -35,7 +35,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Fast perf smoke: hash-probe, batched/columnar-push, vectorized key
+# Fast perf smoke: hash-probe, batched push, vectorized key
 # hashing, ordered merge-join, exchange-partitioning, and streaming
 # cursor delivery hot paths with allocation reporting (these back the PR
 # acceptance criteria). The exec join benches grow one hash table for the

@@ -144,21 +144,19 @@
 //
 // # Columnar batches
 //
-// On top of row batches, the engine speaks a columnar (struct-of-arrays)
-// layout: types.ColBatch stores a batch as per-column value arrays, and
-// operators that profit implement ColBatchSink (PushColBatch) — HashJoin,
-// AggTable, Filter, Project (zero-copy column aliasing via
-// Adapter.AdaptCols), and Combine — with automatic row-batch fallback for
-// everything else. The key machinery is vectorized over this layout:
-// types.HashKeys folds a batch's key columns column-at-a-time into one
-// reused hash vector (zero allocations), state.HashTable consumes that
-// vector via InsertHashedBatch and the ProbeHashedBatch probe driver, and
-// AggTable routes groups by hash plus strict value identity
-// (types.StrictEqual) instead of per-row key encoding. The source driver
-// prefers a leaf's columnar entry when the lowered plan exposes one
-// (Tree.EntryCol). Columnar delivery is, like row batching, semantically
-// invisible: tuple/rows/columnar equivalence tests pin byte-identical
-// output order and identical counters.
+// Row batches are the one batch currency of plain execution: every
+// unsigned path — source leaves, exchanges, the order-releasing partition
+// merge, and the stitch-up buffers — moves []types.Tuple. The columnar
+// (struct-of-arrays) types.ColBatch survives only as the frame of the
+// signed delta path that maintains standing queries (exec.DeltaSink):
+// there, types.HashKeys folds a delta batch's key columns
+// column-at-a-time into one reused hash vector, state.HashTable consumes
+// that vector via InsertHashedBatch and ProbeHashedBatch, and AggTable
+// routes groups by hash plus strict value identity (types.StrictEqual)
+// instead of per-row key encoding. Because join and stitch-up state holds
+// row tuples, a columnar unsigned pipeline transposed every batch twice —
+// into columns at the leaf and back into rows at each join — and measured
+// slower end to end, so it was removed.
 //
 // # Parallel execution
 //

@@ -8,14 +8,13 @@ import (
 )
 
 // SinkCompleteAnalyzer enforces the fallback-chain contract of the sink
-// protocol (PRs 1–3): the driver downgrades delivery dynamically
-// (columnar batch → row batch → row), so a type that advertises the
-// columnar entry must also carry the row-batch and row entries —
-// otherwise a plan shape that happens to trigger the fallback panics at
-// runtime. Concretely, a named type with a PushColBatch method must
-// also have PushBatch and Push, and one with PushBatch must have Push.
+// protocol: the driver downgrades delivery dynamically (row batch → row),
+// so a type that advertises the row-batch entry must also carry the row
+// entry — otherwise a plan shape that happens to trigger the fallback
+// panics at runtime. Concretely, a named type with a PushBatch method
+// must also have Push.
 //
-// It also checks that every Push*Batch body tolerates empty input: the
+// It also checks that every PushBatch body tolerates empty input: the
 // drivers flush zero-length runs at phase and fault boundaries, so
 // indexing the batch with a constant before a length guard is a latent
 // panic.
@@ -38,16 +37,12 @@ func runSinkComplete(pass *Pass) error {
 		}
 		if _, isIface := named.Underlying().(*types.Interface); isIface {
 			// Interfaces state requirements; the contract binds the
-			// concrete implementations (exec.ColBatchSink itself embeds
+			// concrete implementations (exec.BatchSink itself embeds
 			// Sink already).
 			continue
 		}
 		ms := types.NewMethodSet(types.NewPointer(named))
-		has := func(m string) bool { return hasExportedMethod(ms, m) }
-		switch {
-		case has("PushColBatch") && (!has("PushBatch") || !has("Push")):
-			pass.Reportf(tn.Pos(), "%s implements PushColBatch but not the full sink fallback chain (needs PushBatch and Push); the driver downgrades delivery dynamically", name)
-		case has("PushBatch") && !has("Push"):
+		if hasExportedMethod(ms, "PushBatch") && !hasExportedMethod(ms, "Push") {
 			pass.Reportf(tn.Pos(), "%s implements PushBatch but not Push; the driver downgrades delivery dynamically", name)
 		}
 	}
@@ -57,7 +52,7 @@ func runSinkComplete(pass *Pass) error {
 			if !ok || fn.Body == nil || fn.Recv == nil {
 				continue
 			}
-			if fn.Name.Name == "PushBatch" || fn.Name.Name == "PushColBatch" {
+			if fn.Name.Name == "PushBatch" {
 				checkEmptyTolerant(pass, fn)
 			}
 		}
@@ -78,7 +73,7 @@ func hasExportedMethod(ms *types.MethodSet, name string) bool {
 }
 
 // checkEmptyTolerant flags constant-index access to the batch parameter
-// that no length guard precedes: Push*Batch entries run on empty input
+// that no length guard precedes: PushBatch entries run on empty input
 // at phase/fault boundaries.
 func checkEmptyTolerant(pass *Pass, fn *ast.FuncDecl) {
 	params := fn.Type.Params
@@ -110,15 +105,9 @@ func checkEmptyTolerant(pass *Pass, fn *ast.FuncDecl) {
 				firstIndex, firstIndexExpr = e.Pos(), e
 			}
 		case *ast.CallExpr:
-			// len(batch) or batch.Len() — any appearance counts as a
-			// guard if it precedes the first constant index.
-			var guarded bool
-			if isBuiltin(pass, e.Fun, "len") && len(e.Args) == 1 && usesParam(e.Args[0]) {
-				guarded = true
-			}
-			if sel, ok := e.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Len" && usesParam(sel.X) {
-				guarded = true
-			}
+			// len(batch) — any appearance counts as a guard if it
+			// precedes the first constant index.
+			guarded := isBuiltin(pass, e.Fun, "len") && len(e.Args) == 1 && usesParam(e.Args[0])
 			if guarded && (firstGuard == token.NoPos || e.Pos() < firstGuard) {
 				firstGuard = e.Pos()
 			}
@@ -126,6 +115,6 @@ func checkEmptyTolerant(pass *Pass, fn *ast.FuncDecl) {
 		return true
 	})
 	if firstIndexExpr != nil && (firstGuard == token.NoPos || firstGuard > firstIndex) {
-		pass.Reportf(firstIndex, "%s indexes its batch parameter before any length guard; Push*Batch entries must tolerate empty input (drivers flush zero-length runs)", fn.Name.Name)
+		pass.Reportf(firstIndex, "%s indexes its batch parameter before any length guard; PushBatch entries must tolerate empty input (drivers flush zero-length runs)", fn.Name.Name)
 	}
 }

@@ -1,13 +1,9 @@
 // Corpus for the sinkcomplete analyzer: the sink fallback-chain
-// contract (PushColBatch ⇒ PushBatch ⇒ Push) and empty-batch tolerance
-// of Push*Batch entries.
+// contract (PushBatch ⇒ Push) and empty-batch tolerance of PushBatch
+// entries.
 package sinkcomplete
 
 type Tuple []int
-
-type ColBatch struct{ n int }
-
-func (b *ColBatch) Len() int { return b.n }
 
 // full implements the whole chain: true negative.
 type full struct{ rows int }
@@ -18,12 +14,6 @@ func (f *full) PushBatch(ts []Tuple) {
 		f.rows++
 	}
 }
-func (f *full) PushColBatch(b *ColBatch) { f.rows += b.Len() }
-
-// colOnly advertises the columnar entry without the row fallbacks.
-type colOnly struct{} // want `colOnly implements PushColBatch but not the full sink fallback chain`
-
-func (colOnly) PushColBatch(b *ColBatch) {}
 
 // batchOnly has the row-batch entry but no per-row fallback.
 type batchOnly struct{} // want `batchOnly implements PushBatch but not Push`
@@ -57,16 +47,4 @@ func (l *looper) PushBatch(ts []Tuple) {
 	for i := range ts {
 		l.sum += len(ts[i])
 	}
-}
-
-// colGuard peeks the columnar batch behind a Len() guard: true negative.
-type colGuard struct{ n int }
-
-func (c *colGuard) Push(t Tuple)         {}
-func (c *colGuard) PushBatch(ts []Tuple) {}
-func (c *colGuard) PushColBatch(b *ColBatch) {
-	if b.Len() == 0 {
-		return
-	}
-	c.n += b.Len()
 }

@@ -57,8 +57,8 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 			[]int{ord.Schema.MustIndexOf("o_orderkey")},
 			pq, exec.SinkFunc(func(types.Tuple) { n++ }))
 		d := exec.NewDriver(ctx,
-			&exec.Leaf{Provider: source.NewProvider(li, nil), Push: cj.PushLeft, PushBatch: cj.PushLeftBatch, PushColBatch: cj.PushLeftColBatch},
-			&exec.Leaf{Provider: source.NewProvider(ord, nil), Push: cj.PushRight, PushBatch: cj.PushRightBatch, PushColBatch: cj.PushRightColBatch},
+			&exec.Leaf{Provider: source.NewProvider(li, nil), Push: cj.PushLeft, PushBatch: cj.PushLeftBatch},
+			&exec.Leaf{Provider: source.NewProvider(ord, nil), Push: cj.PushRight, PushBatch: cj.PushRightBatch},
 		)
 		d.Run(0, nil)
 		cj.Finish()
@@ -72,13 +72,11 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		})
 	}
 
-	// 2b. Batch layout: tuple-at-a-time vs row batches vs columnar
-	// (struct-of-arrays) delivery of the pipelined hash join. Virtual
-	// seconds must coincide (the layouts are semantically identical);
-	// Detail reports real wall clock, where batching beats per-tuple
-	// delivery and the columnar path trades a driver-side transpose for
-	// vectorized key kernels (a wash on this narrow two-column schema).
-	for _, layout := range []string{"tuple", "rows", "columnar"} {
+	// 2b. Batch layout: tuple-at-a-time vs row-batch delivery of the
+	// pipelined hash join. Virtual seconds must coincide (the layouts are
+	// semantically identical); Detail reports real wall clock, where
+	// batching beats per-tuple delivery.
+	for _, layout := range []string{"tuple", "rows"} {
 		ctx := exec.NewContext()
 		var n int64
 		j := exec.NewHashJoin(ctx, exec.Pipelined, uni.Lineitem.Schema, uni.Orders.Schema,
@@ -87,11 +85,8 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 			exec.SinkFunc(func(types.Tuple) { n++ }))
 		ll := &exec.Leaf{Provider: source.NewProvider(uni.Lineitem, nil), Push: j.PushLeft}
 		ol := &exec.Leaf{Provider: source.NewProvider(uni.Orders, nil), Push: j.PushRight}
-		switch layout {
-		case "rows":
+		if layout == "rows" {
 			ll.PushBatch, ol.PushBatch = j.PushLeftBatch, j.PushRightBatch
-		case "columnar":
-			ll.PushColBatch, ol.PushColBatch = j.PushLeftColBatch, j.PushRightColBatch
 		}
 		start := time.Now()
 		exec.NewDriver(ctx, ll, ol).Run(0, nil)
@@ -106,23 +101,17 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 	}
 
 	// 2b-wide. The same layout sweep over a wide (12-column-per-side)
-	// synthetic join, where layout dominates: the columnar path's
-	// gather-emit into reused output vectors avoids materializing
-	// 24-slot rows entirely and should beat row batches by ≥20% wall
-	// clock (the PR 9 acceptance target), not merely tie.
+	// synthetic join, where per-row emit cost grows with the width.
 	wideL, wideR := wideJoinRelations(1<<15, cfg.Seed+3)
-	for _, layout := range []string{"tuple", "rows", "columnar"} {
+	for _, layout := range []string{"tuple", "rows"} {
 		ctx := exec.NewContext()
 		var n int64
 		j := exec.NewHashJoin(ctx, exec.Pipelined, wideL.Schema, wideR.Schema,
 			[]int{0}, []int{0}, exec.SinkFunc(func(types.Tuple) { n++ }))
 		ll := &exec.Leaf{Provider: source.NewProvider(wideL, nil), Push: j.PushLeft}
 		rl := &exec.Leaf{Provider: source.NewProvider(wideR, nil), Push: j.PushRight}
-		switch layout {
-		case "rows":
+		if layout == "rows" {
 			ll.PushBatch, rl.PushBatch = j.PushLeftBatch, j.PushRightBatch
-		case "columnar":
-			ll.PushColBatch, rl.PushColBatch = j.PushLeftColBatch, j.PushRightColBatch
 		}
 		start := time.Now()
 		exec.NewDriver(ctx, ll, rl).Run(0, nil)

@@ -76,8 +76,8 @@ func runFig5Cell(li, ord *source.Relation, strat string) (*Fig5Result, error) {
 	case "hash":
 		j := exec.NewHashJoin(ctx, exec.Pipelined, li.Schema, ord.Schema, lKey, oKey, count)
 		d := exec.NewDriver(ctx,
-			&exec.Leaf{Provider: lp, Push: j.PushLeft, PushBatch: j.PushLeftBatch, PushColBatch: j.PushLeftColBatch},
-			&exec.Leaf{Provider: op, Push: j.PushRight, PushBatch: j.PushRightBatch, PushColBatch: j.PushRightColBatch},
+			&exec.Leaf{Provider: lp, Push: j.PushLeft, PushBatch: j.PushLeftBatch},
+			&exec.Leaf{Provider: op, Push: j.PushRight, PushBatch: j.PushRightBatch},
 		)
 		d.Run(0, nil)
 		j.FinishLeft()
@@ -91,8 +91,8 @@ func runFig5Cell(li, ord *source.Relation, strat string) (*Fig5Result, error) {
 		}
 		cj := core.NewComplementaryJoin(ctx, li.Schema, ord.Schema, lKey, oKey, pq, count)
 		d := exec.NewDriver(ctx,
-			&exec.Leaf{Provider: lp, Push: cj.PushLeft, PushBatch: cj.PushLeftBatch, PushColBatch: cj.PushLeftColBatch},
-			&exec.Leaf{Provider: op, Push: cj.PushRight, PushBatch: cj.PushRightBatch, PushColBatch: cj.PushRightColBatch},
+			&exec.Leaf{Provider: lp, Push: cj.PushLeft, PushBatch: cj.PushLeftBatch},
+			&exec.Leaf{Provider: op, Push: cj.PushRight, PushBatch: cj.PushRightBatch},
 		)
 		d.Run(0, nil)
 		cj.Finish()

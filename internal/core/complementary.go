@@ -75,10 +75,6 @@ type ComplementaryJoin struct {
 	routeScratch []types.Tuple
 	// stitchEm batches the mini stitch-up's emits.
 	stitchEm exec.BatchEmitter
-	// colIn materializes columnar batches for the row-at-a-time router
-	// (the produced tuples are retention-safe: the reorder queue and the
-	// component joins may buffer them indefinitely).
-	colIn exec.ColRows
 
 	Stats    CompJoinStats
 	finished bool
@@ -145,20 +141,6 @@ func (c *ComplementaryJoin) PushLeftBatch(ts []types.Tuple) {
 		ts = c.routeScratch
 	}
 	c.routeRun(ts, true)
-}
-
-// PushLeftColBatch is the router's columnar left entry: the batch is
-// materialized once into retention-safe row tuples and routed exactly
-// like a row batch — consecutive same-destination runs reach the merge
-// and hash components as sub-batches, so their vectorized paths still
-// run and the output sequence is identical to the row and tuple entries.
-func (c *ComplementaryJoin) PushLeftColBatch(b *types.ColBatch) {
-	c.PushLeftBatch(c.colIn.Rows(b))
-}
-
-// PushRightColBatch is the right-input mirror of PushLeftColBatch.
-func (c *ComplementaryJoin) PushRightColBatch(b *types.ColBatch) {
-	c.PushRightBatch(c.colIn.Rows(b))
 }
 
 // PushRightBatch is the right-input mirror of PushLeftBatch.

@@ -300,78 +300,6 @@ func TestComplementaryBatchMatchesTupleAtATime(t *testing.T) {
 	}
 }
 
-// feedPairCol delivers both inputs in alternating per-side chunks as
-// columnar batches (the driver's struct-of-arrays delivery), reusing one
-// ColBatch per side like the source driver does.
-func feedPairCol(cj *ComplementaryJoin, ls, rs []types.Tuple, chunk int) {
-	lb := types.NewColBatch(2)
-	rb := types.NewColBatch(2)
-	i, k := 0, 0
-	for i < len(ls) || k < len(rs) {
-		if i < len(ls) {
-			end := min(i+chunk, len(ls))
-			lb.Reset()
-			lb.AppendRows(ls[i:end])
-			cj.PushLeftColBatch(lb)
-			i = end
-		}
-		if k < len(rs) {
-			end := min(k+chunk, len(rs))
-			rb.Reset()
-			rb.AppendRows(rs[k:end])
-			cj.PushRightColBatch(rb)
-			k = end
-		}
-	}
-	cj.Finish()
-}
-
-// TestComplementaryColumnarMatchesBatch pins the router's columnar entry
-// (the last row-only seam of the vectorized layer): identical output
-// sequence, identical routing statistics, and clock totals equal up to
-// float summation order versus the row-batch entry, across reordering
-// fractions and router configurations.
-func TestComplementaryColumnarMatchesBatch(t *testing.T) {
-	keys, fks := mkSortedFK(300, 3)
-	for _, frac := range []float64{0, 0.02, 0.3, 1.0} {
-		for _, pq := range []int{0, 64, DefaultPQCap} {
-			for _, chunk := range []int{1, 17, 64} {
-				ls := reorder(fks, frac, 21)
-				rs := reorder(keys, frac, 22)
-
-				ctx1 := exec.NewContext()
-				out1 := &batchRowSink{}
-				cj1 := NewComplementaryJoin(ctx1, lSchema, oSchema, []int{0}, []int{0}, pq, out1)
-				feedPair(cj1, ls, rs, chunk, true)
-
-				ctx2 := exec.NewContext()
-				out2 := &batchRowSink{}
-				cj2 := NewComplementaryJoin(ctx2, lSchema, oSchema, []int{0}, []int{0}, pq, out2)
-				feedPairCol(cj2, ls, rs, chunk)
-
-				if len(out1.rows) == 0 || len(out1.rows) != len(out2.rows) {
-					t.Fatalf("frac=%g pq=%d chunk=%d: %d vs %d outputs",
-						frac, pq, chunk, len(out1.rows), len(out2.rows))
-				}
-				for i := range out1.rows {
-					if out1.rows[i].String() != out2.rows[i].String() {
-						t.Fatalf("frac=%g pq=%d chunk=%d: output %d differs: %v vs %v",
-							frac, pq, chunk, i, out1.rows[i], out2.rows[i])
-					}
-				}
-				if cj1.Stats != cj2.Stats {
-					t.Fatalf("frac=%g pq=%d chunk=%d: stats differ: %+v vs %+v",
-						frac, pq, chunk, cj1.Stats, cj2.Stats)
-				}
-				if d := ctx1.Clock.CPU - ctx2.Clock.CPU; d > 1e-9*ctx1.Clock.CPU || d < -1e-9*ctx1.Clock.CPU {
-					t.Fatalf("frac=%g pq=%d chunk=%d: clocks differ: %v vs %v",
-						frac, pq, chunk, ctx1.Clock.CPU, ctx2.Clock.CPU)
-				}
-			}
-		}
-	}
-}
-
 // TestComplementaryBatchSortedOrderedDelivery checks that on fully sorted
 // input the batched pair delivers merge output in ascending key order —
 // the ordered-delivery property downstream merge consumers rely on.

@@ -736,8 +736,7 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 	}
 	pd := exec.NewParallelDriver(ex.ctx, pt.Ctxs)
 	pd.Bind(handlers, pt.RunFinisher, pt.FinishSteps())
-	pd.BindCol(pt.HandlersCol(rels))
-	pt.Bind(pd.StageSend, pd.StageSendCol, len(rels))
+	pt.Bind(pd.StageSend, len(rels))
 
 	// Wire leaves exactly like the serial phase — filter pushdown,
 	// base-partition capture, counters all happen on the driver goroutine

@@ -628,8 +628,3 @@ func (r *maintRoot) PushBatch(ts []types.Tuple) {
 	b.AppendRows(ts)
 	r.PushDelta(b, 1)
 }
-
-// PushColBatch implements exec.ColBatchSink.
-func (r *maintRoot) PushColBatch(b *types.ColBatch) {
-	r.PushDelta(b, 1)
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -28,67 +27,6 @@ func spjFlightsQuery() *algebra.Query {
 	q.GroupBy, q.Aggs = nil, nil
 	q.Project = []string{"F.fid", "C.num"}
 	return q
-}
-
-// TestColumnarRowBatchEquivalence pins the tentpole's core invariant: the
-// columnar layout is an execution detail, never a semantic one. Every
-// strategy × partition width must produce byte-identical results with
-// columnar delivery enabled and disabled — identical row sequences,
-// counters, and virtual clocks serially (clock charges accumulate in the
-// same float summation order on both layouts), and identical row
-// multisets at P=4 (where delivery order is scheduling-dependent by
-// contract, columnar or not).
-func TestColumnarRowBatchEquivalence(t *testing.T) {
-	queries := map[string]*algebra.Query{
-		"spj": spjFlightsQuery(),
-		"agg": flightsQuery(),
-	}
-	run := func(q *algebra.Query, strat Strategy, parts int, rowBatchOnly bool) *Report {
-		f, tr, c := flightsData(80, 200, 150, 11)
-		disableColumnar = rowBatchOnly
-		defer func() { disableColumnar = false }()
-		rep, err := Run(catalogOf(f, tr, c), q, Options{
-			Strategy: strat, PollEvery: 30, SwitchFactor: 0.99, MaxPhases: 4,
-			Partitions: parts,
-		})
-		if err != nil {
-			t.Fatalf("%v P=%d rowBatchOnly=%v: %v", strat, parts, rowBatchOnly, err)
-		}
-		return rep
-	}
-	for qname, q := range queries {
-		for _, strat := range []Strategy{Static, Corrective, PlanPartition} {
-			for _, parts := range []int{1, 4} {
-				name := fmt.Sprintf("%s/%v/P=%d", qname, strat, parts)
-				base := run(q, strat, parts, true)
-				col := run(q, strat, parts, false)
-				if len(col.Rows) != len(base.Rows) {
-					t.Errorf("%s: columnar rows = %d, row-batch %d", name, len(col.Rows), len(base.Rows))
-					continue
-				}
-				if parts == 1 {
-					if got, want := rowsExact(col.Rows), rowsExact(base.Rows); got != want {
-						t.Errorf("%s: columnar row sequence diverges from row-batch baseline", name)
-					}
-					if col.VirtualSeconds != base.VirtualSeconds {
-						t.Errorf("%s: columnar clock = %.12f, row-batch %.12f", name, col.VirtualSeconds, base.VirtualSeconds)
-					}
-					if len(col.Phases) != len(base.Phases) || col.Switches != base.Switches {
-						t.Errorf("%s: columnar phases/switches = %d/%d, row-batch %d/%d",
-							name, len(col.Phases), col.Switches, len(base.Phases), base.Switches)
-					}
-				} else {
-					cs, bs := sortedStrings(col.Rows), sortedStrings(base.Rows)
-					for i := range cs {
-						if cs[i] != bs[i] {
-							t.Errorf("%s: columnar multiset diverges at %d: %s vs %s", name, i, cs[i], bs[i])
-							break
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestOrderReleasingMergeStreamsEarly pins the PR 9 merge protocol: at

@@ -48,10 +48,9 @@ type ParTree struct {
 	boundaries  int
 	entrySinks  [][]exec.Sink
 	entryOffset int
-	// send/sendCol ship cross-partition rows and columnar frames; bound
-	// to the parallel runtime by Bind before execution starts.
-	send    func(from, dst, entry int, rows []types.Tuple)
-	sendCol func(from, dst, entry int, b *types.ColBatch)
+	// send ships cross-partition rows; bound to the parallel runtime by
+	// Bind before execution starts.
+	send func(from, dst, entry int, rows []types.Tuple)
 }
 
 // parLowering is the per-partition boundary installer consulted by
@@ -86,28 +85,13 @@ func (pl *parLowering) sink(child algebra.Plan, keyCols []int, down exec.Sink) (
 	}
 	pl.pt.entrySinks[pl.p] = append(pl.pt.entrySinks[pl.p], down)
 	pt, p := pl.pt, pl.p
-	exch := exec.NewExchange(pt.P, keyCols, func(dst int, rows []types.Tuple) {
+	return exec.NewExchange(pt.P, keyCols, func(dst int, rows []types.Tuple) {
 		if dst == p {
 			exec.PushAll(down, rows)
 			return
 		}
 		pt.send(p, dst, pt.entryOffset+id, rows)
-	})
-	// When the consumer takes columns, columnar producer output crosses
-	// the boundary as columnar frames: same-partition frames continue
-	// synchronously, cross-partition frames ride the runtime's columnar
-	// outbox (HandlersCol marks this entry columnar on every partition,
-	// since the clones are structurally identical).
-	if colDown, ok := down.(exec.ColBatchSink); ok && !disableColumnar {
-		exch.RouteCol(func(dst int, b *types.ColBatch) {
-			if dst == p {
-				colDown.PushColBatch(b)
-				return
-			}
-			pt.sendCol(p, dst, pt.entryOffset+id, b)
-		})
-	}
-	return exch, nil
+	}), nil
 }
 
 // LowerPartitioned compiles plan into parts per-partition pipelines, each
@@ -130,7 +114,6 @@ func LowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge 
 			ctx:        ctx,
 			Entry:      map[string]func(types.Tuple){},
 			EntryBatch: map[string]func([]types.Tuple){},
-			EntryCol:   map[string]func(*types.ColBatch){},
 			RootSchema: plan.Schema(),
 			par:        &parLowering{pt: pt, p: p},
 		}
@@ -164,14 +147,10 @@ func LowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge 
 
 // Bind connects the tree's cross-partition exchanges to the parallel
 // runtime: send ships rows from one partition's worker to another's
-// entry, sendCol ships columnar frames (only consulted for boundaries
-// whose consumer takes columns — pass nil when the runtime has no
-// columnar transport), and leafEntries is the number of driver-side leaf
-// entries preceding the boundary entries in the runtime's entry
-// numbering.
-func (pt *ParTree) Bind(send func(from, dst, entry int, rows []types.Tuple), sendCol func(from, dst, entry int, b *types.ColBatch), leafEntries int) {
+// entry, and leafEntries is the number of driver-side leaf entries
+// preceding the boundary entries in the runtime's entry numbering.
+func (pt *ParTree) Bind(send func(from, dst, entry int, rows []types.Tuple), leafEntries int) {
 	pt.send = send
-	pt.sendCol = sendCol
 	pt.entryOffset = leafEntries
 }
 
@@ -205,28 +184,6 @@ func (pt *ParTree) Handlers(rels []string) ([][]func([]types.Tuple), error) {
 		out[p] = hs
 	}
 	return out, nil
-}
-
-// HandlersCol builds the runtime's per-partition columnar entry table
-// (same entry numbering as Handlers; nil marks a row-only entry). Leaf
-// entries stay row-only — the driver's read loop produces rows, and the
-// leaf capture needs them anyway — while every boundary whose consumer
-// takes columns becomes a columnar entry, matching the RouteCol routes
-// installed at lowering.
-func (pt *ParTree) HandlersCol(rels []string) [][]func(*types.ColBatch) {
-	out := make([][]func(*types.ColBatch), pt.P)
-	for p := 0; p < pt.P; p++ {
-		hs := make([]func(*types.ColBatch), len(rels), len(rels)+pt.boundaries)
-		for b := 0; b < pt.boundaries; b++ {
-			if cs, ok := pt.entrySinks[p][b].(exec.ColBatchSink); ok && !disableColumnar {
-				hs = append(hs, cs.PushColBatch)
-			} else {
-				hs = append(hs, nil)
-			}
-		}
-		out[p] = hs
-	}
-	return out
 }
 
 // FinishSteps returns the broadcast finish-round count.

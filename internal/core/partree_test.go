@@ -220,8 +220,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	}
 	pd := exec.NewParallelDriver(exec.NewContext(), pt.Ctxs)
 	pd.Bind(handlers, pt.RunFinisher, pt.FinishSteps())
-	pd.BindCol(pt.HandlersCol(names))
-	pt.Bind(pd.StageSend, pd.StageSendCol, len(names))
+	pt.Bind(pd.StageSend, len(names))
 	var pleaves []*exec.Leaf
 	for i, rel := range q.Relations {
 		sc := pd.LeafScatter(i, pt.LeafKeys[rel.Name])

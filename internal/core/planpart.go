@@ -163,7 +163,6 @@ func (ex *executor) runPlanPartition() error {
 		leaves2 = append(leaves2, &exec.Leaf{
 			Provider: provider, Pred: pred,
 			Push: entry, PushBatch: tree2.EntryBatch[rel.Name],
-			PushColBatch: tree2.EntryCol[rel.Name],
 		})
 	}
 	t0 := ex.ctx.Clock.Now
@@ -218,7 +217,6 @@ func (ex *executor) wireLeaves(tree *Tree, covered map[string]bool) ([]*exec.Lea
 		leaves = append(leaves, &exec.Leaf{
 			Provider: ex.cat.Providers[rel.Name], Pred: pred,
 			Push: entry, PushBatch: tree.EntryBatch[rel.Name],
-			PushColBatch: tree.EntryCol[rel.Name],
 		})
 	}
 	return leaves, nil

@@ -10,13 +10,12 @@ import (
 // AbsorbRaw for full-layout tuples, AbsorbPartial for pre-aggregated
 // partials. Absorption does not retain the pushed tuple, so adaptation
 // reuses one scratch tuple (types.Adapter.AdaptInto): the sink performs
-// zero steady-state allocations, tuple-at-a-time, batched, or columnar.
+// zero steady-state allocations, tuple-at-a-time or batched.
 type aggSink struct {
 	agg     *exec.AggTable
 	ad      *types.Adapter
 	partial bool
 	scratch types.Tuple
-	rowView types.Tuple // columnar-entry row view (never retained)
 }
 
 // Push implements exec.Sink.
@@ -36,32 +35,12 @@ func (s *aggSink) PushBatch(ts []types.Tuple) {
 	}
 }
 
-// PushColBatch implements exec.ColBatchSink: rows are viewed through a
-// reused scratch tuple (absorption never retains its input), so the
-// columnar entry is allocation-free like the row paths.
-func (s *aggSink) PushColBatch(b *types.ColBatch) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	w := b.Width()
-	if cap(s.rowView) < w {
-		s.rowView = make(types.Tuple, w)
-	}
-	row := s.rowView[:w]
-	for i := 0; i < n; i++ {
-		b.ReadRow(row, i)
-		s.Push(row)
-	}
-}
-
 // forwardSink forwards tuples and batches to a late-bound downstream sink
 // (the stitch-up output is constructed before its schema-dependent
 // destination exists). Batches pass through PushAll so the downstream
-// sink's vectorized path is preserved; columnar frames likewise.
+// sink's vectorized path is preserved.
 type forwardSink struct {
 	out exec.Sink
-	cr  exec.ColRows
 }
 
 // Push implements exec.Sink.
@@ -70,20 +49,11 @@ func (f *forwardSink) Push(t types.Tuple) { f.out.Push(t) }
 // PushBatch implements exec.BatchSink.
 func (f *forwardSink) PushBatch(ts []types.Tuple) { exec.PushAll(f.out, ts) }
 
-// PushColBatch implements exec.ColBatchSink.
-func (f *forwardSink) PushColBatch(b *types.ColBatch) {
-	if b.Len() == 0 {
-		return
-	}
-	f.cr.PushColAll(f.out, b)
-}
-
 // listSink materializes tuples into a state structure, charging one Move
 // per tuple (a materialization write).
 type listSink struct {
 	ctx *exec.Context
 	dst *state.List
-	cr  exec.ColRows
 }
 
 // Push implements exec.Sink.
@@ -101,19 +71,6 @@ func (s *listSink) PushBatch(ts []types.Tuple) {
 	s.dst.InsertBatch(ts)
 }
 
-// PushColBatch implements exec.ColBatchSink: the list retains rows, so
-// the batch materializes (arena-bulk) exactly once here.
-func (s *listSink) PushColBatch(b *types.ColBatch) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		s.ctx.Clock.Charge(s.ctx.Cost.Move)
-	}
-	s.dst.InsertBatch(s.cr.Rows(b))
-}
-
 // collectSink adapts and appends result tuples to a slice (the SPJ result
 // collector). Collected tuples are retained, so each is a fresh
 // adaptation; batching still saves the per-tuple downstream call fan-out.
@@ -122,8 +79,6 @@ type collectSink struct {
 	ad   *types.Adapter
 	dst  *[]types.Tuple
 	cost bool // charge Move per tuple (phase output does; stitch-up already charged)
-
-	colScratch *types.ColBatch // columnar-entry adapter output (aliases input)
 }
 
 // Push implements exec.Sink.
@@ -139,26 +94,4 @@ func (s *collectSink) PushBatch(ts []types.Tuple) {
 	for _, t := range ts {
 		s.Push(t)
 	}
-}
-
-// PushColBatch implements exec.ColBatchSink — the columnar pipeline's
-// single transpose point for SPJ output: the adapter permutes columns
-// zero-copy, then each collected row materializes exactly once, here,
-// into its own retained tuple (the same one allocation per row the row
-// path's Adapt pays).
-func (s *collectSink) PushColBatch(b *types.ColBatch) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	if s.colScratch == nil {
-		s.colScratch = types.NewColBatch(s.ad.To().Len())
-	}
-	s.ad.AdaptCols(s.colScratch, b)
-	if s.cost {
-		for i := 0; i < n; i++ {
-			s.ctx.Clock.Charge(s.ctx.Cost.Move)
-		}
-	}
-	*s.dst = s.colScratch.ToRows(*s.dst)
 }

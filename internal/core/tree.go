@@ -40,16 +40,9 @@ type Tree struct {
 	// driver uses it to deliver whole batches into the plan). The batch
 	// slice must not be retained by the plan.
 	EntryBatch map[string]func([]types.Tuple)
-	// EntryCol maps base relation name -> columnar push function (set
-	// when the entry operator accepts struct-of-arrays batches; preferred
-	// over EntryBatch by the source driver). The batch must not be
-	// retained by the plan.
-	EntryCol map[string]func(*types.ColBatch)
 	// EntryDelta maps base relation name -> signed push function (set
 	// when the entry operator accepts delta batches; the maintenance
-	// driver feeds warm-up replays and live deltas through it). Signed
-	// traffic is inherently columnar, so this is wired regardless of the
-	// disableColumnar test hook.
+	// driver feeds warm-up replays and live deltas through it).
 	EntryDelta map[string]func(*types.ColBatch, int)
 	// Joins lists join nodes bottom-up.
 	Joins []*TreeJoin
@@ -68,14 +61,6 @@ type Tree struct {
 	// boundaries during build.
 	par *parLowering
 }
-
-// disableColumnar is a test hook: when set, lowering skips every columnar
-// entry point (leaf EntryCol wiring, boundary RouteCol routes, columnar
-// runtime handlers), forcing the whole pipeline onto the row-batch paths.
-// The equivalence pins run each strategy both ways and require
-// byte-identical results — the columnar layout is an execution detail,
-// never a semantic one.
-var disableColumnar bool
 
 // blockingPreAgg adapts an AggTable into a traditional (blocking)
 // pre-aggregation operator feeding a parent sink at finish time.
@@ -98,7 +83,6 @@ func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink) (*Tree, error) {
 		ctx:        ctx,
 		Entry:      map[string]func(types.Tuple){},
 		EntryBatch: map[string]func([]types.Tuple){},
-		EntryCol:   map[string]func(*types.ColBatch){},
 		EntryDelta: map[string]func(*types.ColBatch, int){},
 		RootSchema: plan.Schema(),
 	}
@@ -110,11 +94,10 @@ func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink) (*Tree, error) {
 
 // teeSink duplicates a join's output into its materialization buffer
 // (stitch-up reuse, §3.4.2) while forwarding it downstream; batches are
-// forwarded as batches, columnar frames as columnar frames.
+// forwarded as batches.
 type teeSink struct {
 	buf *state.List
 	out exec.Sink
-	cr  exec.ColRows
 	dfw exec.DeltaForward
 }
 
@@ -128,22 +111,6 @@ func (s *teeSink) Push(t types.Tuple) {
 func (s *teeSink) PushBatch(ts []types.Tuple) {
 	s.buf.InsertBatch(ts)
 	exec.PushAll(s.out, ts)
-}
-
-// PushColBatch implements exec.ColBatchSink: the batch materializes once
-// (arena-bulk, retention-safe rows) for the stitch-up buffer, and the
-// columns themselves forward downstream untouched.
-func (s *teeSink) PushColBatch(b *types.ColBatch) {
-	if b.Len() == 0 {
-		return
-	}
-	rows := s.cr.Rows(b)
-	s.buf.InsertBatch(rows)
-	if cs, ok := s.out.(exec.ColBatchSink); ok {
-		cs.PushColBatch(b)
-		return
-	}
-	exec.PushAll(s.out, rows)
 }
 
 // PushDelta implements exec.DeltaSink: signed maintenance traffic
@@ -168,9 +135,6 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		t.Entry[name] = out.Push
 		if bs, ok := out.(exec.BatchSink); ok {
 			t.EntryBatch[name] = bs.PushBatch
-		}
-		if cs, ok := out.(exec.ColBatchSink); ok && !disableColumnar {
-			t.EntryCol[name] = cs.PushColBatch
 		}
 		if ds, ok := out.(exec.DeltaSink); ok {
 			// Lazy: partitioned lowerings construct Tree literals without

@@ -149,21 +149,19 @@ type AggTable struct {
 	// groups chains aggregate groups under their key hash; group identity
 	// is the hash plus strict value equality (types.StrictEqual), which
 	// matches the byte codec's grouping semantics exactly — Int(1),
-	// Float(1), and Str("1") stay distinct — while letting the columnar
-	// path route a whole batch off one types.HashKeys vector.
+	// Float(1), and Str("1") stay distinct — while letting the signed
+	// path route a whole delta batch off one types.HashKeys vector.
 	groups  map[uint64][]*aggGroup
 	nGroups int
 	// valScratch is allocation-free grouping scratch: group values are
 	// extracted into it and only copied to owned storage when a new group
-	// is created. hashVec and rowView back the columnar absorb path.
+	// is created. hashVec and rowView back the signed absorb path.
 	valScratch []types.Value
 	hashVec    []uint64
 	rowView    types.Tuple
 	// hasArgs records whether any aggregate has an argument evaluator
-	// (COUNT-only tables skip row materialization on the columnar path).
+	// (COUNT-only tables skip row materialization on the signed path).
 	hasArgs bool
-	// emitBuf is the reused columnar delivery batch of EmitPartialTo.
-	emitBuf *types.ColBatch
 
 	// Maintenance (signed) mode: dirty lists the groups touched since
 	// the last EmitRevisions, bagScratch is the reused min/max bag key
@@ -229,7 +227,7 @@ func (a *AggTable) groupFor(vals []types.Value) *aggGroup {
 }
 
 // groupForHashed finds or creates the group for the given key values and
-// their precomputed hash (the columnar path hands in one HashKeys lane
+// their precomputed hash (the signed path hands in one HashKeys lane
 // per row). vals may be scratch storage: it is copied to owned storage
 // only when the group is new. Lookup is allocation-free at steady state.
 func (a *AggTable) groupForHashed(hash uint64, vals []types.Value) *aggGroup {
@@ -387,30 +385,11 @@ func (a *AggTable) EmitPartial() []types.Tuple {
 	return out
 }
 
-// EmitPartialTo delivers EmitPartial's group revisions downstream,
-// columnar when the sink accepts columns: the freshly built partial rows
-// transpose into a reused batch in emitFlushLen frames, so a partitioned
-// pre-aggregate's flush feeds the boundary exchange's vectorized entry
-// instead of fanning out per-group Push calls. Row order, counters, and
-// charges are identical to pushing EmitPartial's rows one at a time.
+// EmitPartialTo delivers EmitPartial's group revisions downstream as one
+// batch. Row order, counters, and charges are identical to pushing
+// EmitPartial's rows one at a time.
 func (a *AggTable) EmitPartialTo(out Sink) {
-	rows := a.EmitPartial()
-	cs, ok := out.(ColBatchSink)
-	if !ok {
-		PushAll(out, rows)
-		return
-	}
-	w := a.partialSchema.Len()
-	if a.emitBuf == nil || a.emitBuf.Width() != w {
-		a.emitBuf = types.NewColBatch(w)
-	}
-	for len(rows) > 0 {
-		n := min(len(rows), emitFlushLen)
-		a.emitBuf.AppendRows(rows[:n])
-		cs.PushColBatch(a.emitBuf)
-		a.emitBuf.Reset()
-		rows = rows[n:]
-	}
+	PushAll(out, a.EmitPartial())
 }
 
 // Pseudogroup converts raw tuples into partial-layout singletons: "a

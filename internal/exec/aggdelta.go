@@ -113,8 +113,10 @@ func (a *AggTable) EnableMaintenance() {
 // Maintained reports whether the table is in signed maintenance mode.
 func (a *AggTable) Maintained() bool { return a.maint }
 
-// PushDelta implements DeltaSink: a signed columnar batch is absorbed
-// with the same one-HashKeys-vector group routing as PushColBatch.
+// PushDelta implements DeltaSink: group routing consumes one HashKeys
+// vector for the whole signed batch — the group-by columns are hashed
+// column-at-a-time, and each row's group is found by hash plus strict
+// value equality, with no per-row key encoding.
 //
 //adp:hotpath gated by BenchmarkDeltaPropagation (scripts/check_allocs.sh)
 func (a *AggTable) PushDelta(b *types.ColBatch, sign int) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
+	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -40,12 +41,13 @@ func feedJoin(j *HashJoin, ls, rs []types.Tuple, chunkSize int, batched bool) {
 }
 
 // TestBatchPushMatchesTupleAtATime verifies the batched join path is
-// semantically identical to tuple-at-a-time pushing: same outputs in the
-// same order, same counters, same virtual-clock charges.
+// semantically identical to tuple-at-a-time pushing for every join style:
+// same outputs in the same order, same counters, same virtual-clock
+// charges.
 func TestBatchPushMatchesTupleAtATime(t *testing.T) {
 	ls := randTuples(2000, 300, 1, rRow)
 	rs := randTuples(2000, 300, 2, sRow)
-	for _, style := range []JoinStyle{Pipelined, BuildThenProbe} {
+	for _, style := range []JoinStyle{Pipelined, BuildThenProbe, NestedLoops} {
 		ctx1, ctx2 := NewContext(), NewContext()
 		out1, out2 := &collectSink{}, &collectSink{}
 		j1 := NewHashJoin(ctx1, style, rSchema, sSchema, []int{0}, []int{0}, out1)
@@ -71,31 +73,43 @@ func TestBatchPushMatchesTupleAtATime(t *testing.T) {
 	}
 }
 
-// TestBatchPipelineSegment pushes batches through a Filter → HashJoin →
-// AggTable segment and checks the final aggregate equals the
+// TestBatchPipelineSegment pushes batches through a Filter → Project →
+// HashJoin → AggTable segment (the shape of a lowered phase plan) and
+// checks the final aggregate and every operator's counters against the
 // tuple-at-a-time result.
 func TestBatchPipelineSegment(t *testing.T) {
-	full := rSchema.Concat(sSchema)
+	// Project r(k,a) -> (a,k) so the join keys on column 1 of the
+	// projected layout.
+	projSchema := types.NewSchema(
+		types.Column{Name: "r.a", Kind: types.KindInt},
+		types.Column{Name: "r.k", Kind: types.KindInt},
+	)
+	full := projSchema.Concat(sSchema)
 	aggs := []algebra.AggSpec{{Kind: algebra.AggCount, As: "n"}}
-	build := func() (*Filter, *HashJoin, *AggTable, *Context) {
+	build := func() (*Filter, *Project, *HashJoin, *AggTable, *Context) {
 		ctx := NewContext()
 		agg, err := NewAggTable(ctx, full, []string{"r.k"}, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, agg)
-		f := NewFilter(ctx, func(tp types.Tuple) bool { return tp[1].I%3 != 0 }, j.LeftSink())
-		return f, j, agg, ctx
+		j := NewHashJoin(ctx, Pipelined, projSchema, sSchema, []int{1}, []int{0}, agg)
+		ad, err := types.NewAdapter(rSchema, projSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewProject(ctx, ad, j.LeftSink())
+		f := NewFilter(ctx, func(tp types.Tuple) bool { return tp[1].I%3 != 0 }, p)
+		return f, p, j, agg, ctx
 	}
 	ls := randTuples(3000, 200, 3, rRow)
 	rs := randTuples(3000, 200, 4, sRow)
 
-	f1, j1, a1, ctx1 := build()
+	f1, p1, j1, a1, ctx1 := build()
 	for i := range ls {
 		f1.Push(ls[i])
 		j1.PushRight(rs[i])
 	}
-	f2, j2, a2, ctx2 := build()
+	f2, p2, j2, a2, ctx2 := build()
 	for i := 0; i < len(ls); i += 128 {
 		end := min(i+128, len(ls))
 		f2.PushBatch(ls[i:end])
@@ -110,6 +124,10 @@ func TestBatchPipelineSegment(t *testing.T) {
 		if r1[i].String() != r2[i].String() {
 			t.Fatalf("group %d differs: %v vs %v", i, r1[i], r2[i])
 		}
+	}
+	if *a1.Counters() != *a2.Counters() || *j1.Counters() != *j2.Counters() ||
+		*p1.Counters() != *p2.Counters() || *f1.Counters() != *f2.Counters() {
+		t.Fatal("operator counters differ between tuple and batch runs")
 	}
 	// Charges are summed in a different order across operators in the
 	// batched path, so the totals agree only up to float non-associativity.
@@ -173,5 +191,57 @@ func TestBatchAllocsAtLeastHalved(t *testing.T) {
 	t.Logf("allocs/tuple: tuple-at-a-time %.3f, batch %.3f", tuple, batch)
 	if batch > tuple/2 {
 		t.Fatalf("batched path allocates %.3f/tuple, more than half of baseline %.3f/tuple", batch, tuple)
+	}
+}
+
+// TestDriverRowBatchDelivery runs the availability-ordered source driver
+// with tuple and row-batch leaves over sources with interleaved arrival
+// schedules, and requires identical outputs, delivery counts, and final
+// clocks.
+func TestDriverRowBatchDelivery(t *testing.T) {
+	ls := randTuples(1500, 250, 5, rRow)
+	rs := randTuples(1500, 250, 6, sRow)
+	lRel := source.NewRelation("r", rSchema, ls)
+	rRel := source.NewRelation("s", sSchema, rs)
+	run := func(batched bool) (*collectSink, *Driver, *Context) {
+		ctx := NewContext()
+		out := &collectSink{}
+		j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, out)
+		ll := &Leaf{
+			Provider: source.NewProvider(lRel, source.NewBursty(len(ls), 12000, 80, 0.01, 3)),
+			Pred:     func(tp types.Tuple) bool { return tp[1].I%7 != 0 },
+			Push:     j.PushLeft,
+		}
+		rl := &Leaf{
+			Provider: source.NewProvider(rRel, source.NewBursty(len(rs), 9000, 120, 0.02, 4)),
+			Push:     j.PushRight,
+		}
+		if batched {
+			ll.PushBatch, rl.PushBatch = j.PushLeftBatch, j.PushRightBatch
+		}
+		d := NewDriver(ctx, ll, rl)
+		d.Run(0, nil)
+		j.FinishLeft()
+		j.FinishRight()
+		return out, d, ctx
+	}
+	outT, dT, ctxT := run(false)
+	if len(outT.rows) == 0 {
+		t.Fatal("no join output")
+	}
+	out, d, ctx := run(true)
+	if d.Delivered != dT.Delivered {
+		t.Fatalf("delivered %d vs %d", d.Delivered, dT.Delivered)
+	}
+	if len(out.rows) != len(outT.rows) {
+		t.Fatalf("%d vs %d outputs", len(out.rows), len(outT.rows))
+	}
+	for i := range out.rows {
+		if out.rows[i].String() != outT.rows[i].String() {
+			t.Fatalf("output %d differs", i)
+		}
+	}
+	if ctx.Clock.Now != ctxT.Clock.Now && math.Abs(ctx.Clock.Now-ctxT.Clock.Now) > 1e-9*ctxT.Clock.Now {
+		t.Fatalf("clock %v vs %v", ctx.Clock.Now, ctxT.Clock.Now)
 	}
 }

@@ -2,9 +2,9 @@
 // maintenance stage of a standing query, batches flow through the same
 // lowered operator tree as the initial run, but each batch carries a
 // sign: +1 for insertions into the result, -1 for retractions. The sign
-// travels out of band — a delta batch is an ordinary ColBatch whose rows
-// all share the batch's sign — so the columnar storage, hashing, and
-// gather kernels are reused untouched.
+// travels out of band: a delta batch is a types.ColBatch whose rows all
+// share the batch's sign, so one HashKeys sweep routes the whole batch
+// and probe hits gather into output frames column-at-a-time.
 //
 // Join state follows the z-set formulation (Olteanu, arXiv:2404.17679):
 // each side's effective multiset is its main table minus a lazily
@@ -30,10 +30,10 @@ type DeltaSink interface {
 }
 
 // DeltaForward delivers signed batches to a downstream sink, caching the
-// one DeltaSink type assertion. Pure insertions (+1) degrade to the
-// plain columnar path when the sink is sign-agnostic — an insert-only
-// delta stream is indistinguishable from ordinary execution — but a
-// retraction reaching a sign-agnostic sink is a lowering bug and panics.
+// one DeltaSink type assertion. Pure insertions (+1) degrade to a plain
+// row batch when the sink is sign-agnostic — an insert-only delta stream
+// is indistinguishable from ordinary execution — but a retraction
+// reaching a sign-agnostic sink is a lowering bug and panics.
 type DeltaForward struct {
 	checked bool
 	ds      DeltaSink
@@ -54,22 +54,22 @@ func (d *DeltaForward) Forward(out Sink, b *types.ColBatch, sign int) {
 		return
 	}
 	if sign > 0 {
-		d.cr.PushColAll(out, b)
+		PushAll(out, d.cr.Rows(b))
 		return
 	}
 	panic("exec: retraction delta reached a sink without PushDelta")
 }
 
-// signedOut adapts the join's columnar hit-gather machinery to signed
-// delivery: it implements ColBatchSink so hitEmitter can flush straight
-// into it, forwarding every frame downstream as a delta with the armed
-// sign. One instance lives on the join and is re-armed per probe sweep,
-// so steady-state signed emits allocate nothing.
+// signedOut is the join's signed delivery point: probe-hit frames from
+// hitEmitter and single rows from the nested-loops scan leave through it
+// as deltas with the armed sign. One instance lives on the join and is
+// re-armed per probe sweep, so steady-state signed emits allocate
+// nothing.
 type signedOut struct {
 	fw   DeltaForward
 	out  Sink
 	sign int
-	buf  *types.ColBatch // row→column bridge for the row-path emits
+	buf  *types.ColBatch // single-row frame for the nested-loops emits
 }
 
 func (s *signedOut) arm(out Sink, sign int) {
@@ -77,40 +77,58 @@ func (s *signedOut) arm(out Sink, sign int) {
 	s.sign = sign
 }
 
-func (s *signedOut) ensure(width int) {
-	if s.buf == nil || s.buf.Width() != width {
-		s.buf = types.NewColBatch(width)
+// push delivers one signed row.
+func (s *signedOut) push(t types.Tuple) {
+	if s.buf == nil || s.buf.Width() != len(t) {
+		s.buf = types.NewColBatch(len(t))
 	}
-}
-
-// Push implements Sink (single signed row).
-func (s *signedOut) Push(t types.Tuple) {
-	s.ensure(len(t))
-	s.buf.Reset()
 	s.buf.AppendRow(t)
 	s.fw.Forward(s.out, s.buf, s.sign)
 	s.buf.Reset()
 }
 
-// PushBatch implements BatchSink.
-func (s *signedOut) PushBatch(ts []types.Tuple) {
-	if len(ts) == 0 {
-		return
-	}
-	s.ensure(len(ts[0]))
-	s.buf.Reset()
-	s.buf.AppendRows(ts)
-	s.fw.Forward(s.out, s.buf, s.sign)
-	s.buf.Reset()
+// hitEmitter is the hash join's signed probe-hit gatherer: while a delta
+// batch probes a retained table, hits accumulate as (probe row index,
+// matched build tuple) pairs, and flushes gather them into the reused
+// output frame in one AppendHits — probe-side values move
+// column-at-a-time straight from the input batch's dense storage into
+// the output columns, so no output row is ever materialized. Flushes
+// happen at emitFlushLen and at the end of the probe (before the input
+// batch is invalidated), preserving hit order.
+type hitEmitter struct {
+	sel     []int32
+	matches []types.Tuple
+	buf     *types.ColBatch
 }
 
-// PushColBatch implements ColBatchSink: the hit emitter's flush lands
-// here and leaves as a signed frame.
-func (s *signedOut) PushColBatch(b *types.ColBatch) {
-	if b.Len() == 0 {
+// begin readies the reused output frame for an output width.
+func (e *hitEmitter) begin(width int) {
+	if e.buf == nil || e.buf.Width() != width {
+		e.buf = types.NewColBatch(width)
+	}
+}
+
+// add buffers one hit: probe row i of the current input batch matched the
+// build-side tuple match.
+func (e *hitEmitter) add(out *signedOut, src *types.ColBatch, probeOff, matchOff int, i int32, match types.Tuple) {
+	e.sel = append(e.sel, i)
+	e.matches = append(e.matches, match)
+	if len(e.sel) >= emitFlushLen {
+		e.flush(out, src, probeOff, matchOff)
+	}
+}
+
+// flush gathers the buffered hits into the output frame and forwards it
+// downstream with out's armed sign.
+func (e *hitEmitter) flush(out *signedOut, src *types.ColBatch, probeOff, matchOff int) {
+	if len(e.sel) == 0 {
 		return
 	}
-	s.fw.Forward(s.out, b, s.sign)
+	e.buf.AppendHits(src, e.sel, probeOff, e.matches, matchOff)
+	clear(e.matches)
+	e.sel, e.matches = e.sel[:0], e.matches[:0]
+	out.fw.Forward(out.out, e.buf, out.sign)
+	e.buf.Reset()
 }
 
 // --- HashJoin ---------------------------------------------------------
@@ -163,7 +181,7 @@ func (j *HashJoin) pushDelta(left bool, b *types.ColBatch, sign int) {
 		keyCols = j.rightKey
 	}
 	j.hashVec = types.HashKeys(j.hashVec, b, keyCols)
-	rows := j.colIn.materialize(b)
+	rows := j.deltaIn.Rows(b)
 	j.deltaTable(left, sign).InsertHashedBatch(j.hashVec, rows)
 	for range rows {
 		j.ctx.Clock.Charge(j.ctx.Cost.HashInsert)
@@ -255,7 +273,7 @@ func (j *HashJoin) probeDelta(table *state.HashTable, probedLeft bool, b *types.
 // the role of the hash tables, scans replace probes. Not a hot path —
 // lowering only picks NestedLoops for joins without equijoin keys.
 func (j *HashJoin) pushDeltaNested(left bool, b *types.ColBatch, sign int) {
-	rows := j.colIn.materialize(b)
+	rows := j.deltaIn.Rows(b)
 	build, opp, negOpp := j.deltaLists(left, sign)
 	for _, t := range rows {
 		build.Insert(t)
@@ -315,15 +333,15 @@ func (j *HashJoin) scanDelta(l *state.List, deltaLeft bool, t types.Tuple, emitS
 		}
 		j.ctx.Clock.Charge(j.ctx.Cost.Move)
 		j.counters.Out++
-		j.sout.Push(lt.Concat(rt))
+		j.sout.push(lt.Concat(rt))
 		return true
 	})
 }
 
 // --- Filter -----------------------------------------------------------
 
-// PushDelta implements DeltaSink: the predicate sweep is sign-blind
-// (identical to PushColBatch), survivors keep the batch's sign.
+// PushDelta implements DeltaSink: the predicate sweep is sign-blind,
+// survivors keep the batch's sign.
 func (f *Filter) PushDelta(b *types.ColBatch, sign int) {
 	w := b.Width()
 	if f.colScratch == nil || f.colScratch.Width() != w {

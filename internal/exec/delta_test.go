@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
@@ -26,7 +27,6 @@ func (u *updateLog) PushBatch(ts []types.Tuple) {
 		u.add(t, 1)
 	}
 }
-func (u *updateLog) PushColBatch(b *types.ColBatch) { u.PushDelta(b, 1) }
 func (u *updateLog) PushDelta(b *types.ColBatch, sign int) {
 	for i := 0; i < b.Len(); i++ {
 		row := make(types.Tuple, b.Width())
@@ -254,5 +254,64 @@ func TestFilterProjectDeltaSignPassthrough(t *testing.T) {
 	}
 	if len(log.rows) != 2 {
 		t.Fatalf("filter must pass v=10 both ways and drop v=3: %d deliveries", len(log.rows))
+	}
+}
+
+// TestAggDeltaStrictGrouping pins the signed path's hashed group routing
+// against the scalar path on adversarial keys: kinds that compare equal
+// but must group apart (Int(1) vs Float(1) vs Str("1")), NaNs (one
+// group), and ±0 (distinct groups) — the byte codec's grouping semantics.
+func TestAggDeltaStrictGrouping(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "g.k", Kind: types.KindFloat},
+		types.Column{Name: "g.v", Kind: types.KindInt},
+	)
+	keys := []types.Value{
+		types.Int(1), types.Float(1), types.Str("1"),
+		types.Float(math.NaN()), types.Float(math.NaN()),
+		types.Float(0), types.Float(math.Copysign(0, -1)),
+		types.Null(), types.Str(""),
+	}
+	var rows []types.Tuple
+	for rep := 0; rep < 3; rep++ {
+		for i, k := range keys {
+			rows = append(rows, types.Tuple{k, types.Int(int64(i))})
+		}
+	}
+	aggs := []algebra.AggSpec{{Kind: algebra.AggCount, As: "n"}}
+	mk := func(t *testing.T) *AggTable {
+		t.Helper()
+		a, err := NewAggTable(NewContext(), schema, []string{"g.k"}, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	a1 := mk(t)
+	for _, r := range rows {
+		a1.AbsorbRaw(r)
+	}
+	a2 := mk(t)
+	a2.EnableMaintenance()
+	a2.PushDelta(deltaBatch(rows...), 1)
+	// 8 groups: {Int 1, Float 1, Str "1", NaN, +0, -0, Null, ""}.
+	if a1.Groups() != 8 || a2.Groups() != 8 {
+		t.Fatalf("groups: scalar %d, signed %d, want 8", a1.Groups(), a2.Groups())
+	}
+	counts := func(rs []types.Tuple) map[string]string {
+		m := map[string]string{}
+		for _, r := range rs {
+			m[types.EncodeKey(r, []int{0})] = r[1].String()
+		}
+		return m
+	}
+	c1, c2 := counts(a1.EmitFinal()), counts(a2.EmitFinal())
+	if len(c1) != len(c2) {
+		t.Fatalf("emitted group counts differ: %d vs %d", len(c1), len(c2))
+	}
+	for k, v := range c1 {
+		if c2[k] != v {
+			t.Fatalf("group %q count differs: %s vs %s", k, v, c2[k])
+		}
 	}
 }

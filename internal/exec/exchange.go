@@ -14,7 +14,7 @@ import (
 // an upstream operator's partitioning key routes every row back to its
 // own partition (the local fast path: no cross-partition traffic at all).
 //
-// Within one PushBatch/PushColBatch call, partitions are delivered in
+// Within one PushBatch call, partitions are delivered in
 // ascending partition order and rows keep their input order inside each
 // partition, so single-producer topologies stay fully deterministic. The
 // rows slice handed to route is reused across batches and must not be
@@ -28,25 +28,10 @@ type Exchange struct {
 	keyCols []int
 	route   func(part int, rows []types.Tuple)
 
-	// routeCol, when installed (RouteCol), receives columnar sub-batches
-	// for columnar input: partition-parallel hops then move columns end
-	// to end with no transpose at the boundary.
-	routeCol func(part int, b *types.ColBatch)
-
 	// scratch[p] gathers the current batch's rows for partition p; one
 	// single-tuple buffer backs the scalar Push path.
 	scratch [][]types.Tuple
 	one     [1]types.Tuple
-
-	// Columnar-entry scratch: the batch hash vector (one HashKeys sweep
-	// partitions the whole batch), the arena-backed materializer that
-	// turns columnar rows into retention-safe tuples (row-route
-	// fallback), and the per-partition selection vectors plus gather
-	// buffers backing the columnar scatter.
-	hashVec    []uint64
-	colIn      colDelivery
-	sel        [][]int32
-	colScratch []*types.ColBatch
 
 	counters stats.OpCounters
 }
@@ -61,16 +46,6 @@ func NewExchange(parts int, keyCols []int, route func(part int, rows []types.Tup
 		route:   route,
 		scratch: make([][]types.Tuple, parts),
 	}
-}
-
-// RouteCol installs the columnar route: columnar input batches scatter as
-// per-partition column gather buffers through it (ascending partition
-// order, row order preserved within each partition — the same delivery
-// discipline as route). The batch handed to routeCol is reused and must
-// not be retained. Row input keeps using route; callers that install
-// RouteCol must accept both.
-func (e *Exchange) RouteCol(route func(part int, b *types.ColBatch)) {
-	e.routeCol = route
 }
 
 // Counters exposes routing statistics (In = rows seen, Out = rows routed).
@@ -116,59 +91,6 @@ func (e *Exchange) PushBatch(ts []types.Tuple) {
 		e.scratch[p] = append(e.scratch[p], t)
 	}
 	e.deliver()
-}
-
-// PushColBatch implements ColBatchSink: one types.HashKeys sweep hashes
-// the whole batch's key columns column-at-a-time (reusing the hash
-// vector), and the scatter consumes the precomputed hash lanes — no
-// per-row hashing. With a columnar route installed the batch never
-// transposes: per-partition selection vectors drive a column-at-a-time
-// Gather into reused sub-batch buffers, delivered in ascending partition
-// order. Without one, rows are materialized as retention-safe tuples and
-// routed as row sub-batches.
-//
-//adp:hotpath gated by BenchmarkExchangePartition (scripts/check_allocs.sh)
-func (e *Exchange) PushColBatch(b *types.ColBatch) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	e.counters.In += int64(n)
-	e.hashVec = types.HashKeys(e.hashVec, b, e.keyCols)
-	if e.routeCol == nil {
-		rows := e.colIn.materialize(b)
-		for i, t := range rows {
-			p := partitionOf(e.hashVec[i], e.parts)
-			e.scratch[p] = append(e.scratch[p], t)
-		}
-		e.deliver()
-		return
-	}
-	if e.sel == nil {
-		e.sel = make([][]int32, e.parts)
-		e.colScratch = make([]*types.ColBatch, e.parts)
-	}
-	for i := 0; i < n; i++ {
-		p := partitionOf(e.hashVec[i], e.parts)
-		e.sel[p] = append(e.sel[p], int32(i))
-	}
-	w := b.Width()
-	for p := 0; p < e.parts; p++ {
-		sel := e.sel[p]
-		if len(sel) == 0 {
-			continue
-		}
-		cb := e.colScratch[p]
-		if cb == nil || cb.Width() != w {
-			cb = types.NewColBatch(w)
-			e.colScratch[p] = cb
-		}
-		cb.Gather(b, sel)
-		e.counters.Out += int64(len(sel))
-		e.routeCol(p, cb)
-		cb.Reset()
-		e.sel[p] = sel[:0]
-	}
 }
 
 // deliver routes the gathered sub-batches in partition order and resets

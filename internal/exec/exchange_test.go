@@ -7,8 +7,8 @@ import (
 )
 
 // TestExchangePartitioning pins the partitioning contract: every row goes
-// to exactly one partition, the assignment agrees across row, batch, and
-// columnar entries, equal keys share a partition, and within one batch
+// to exactly one partition, the assignment agrees across the row and batch
+// entries, equal keys share a partition, and within one batch
 // partitions deliver in ascending order with input order preserved.
 func TestExchangePartitioning(t *testing.T) {
 	const parts = 4
@@ -56,7 +56,7 @@ func TestExchangePartitioning(t *testing.T) {
 		}
 	}
 
-	// Scalar and columnar entries agree with the batch path.
+	// The scalar entry agrees with the batch path.
 	scalar := make([]int, 0, len(rows))
 	exS := NewExchange(parts, []int{0}, func(p int, ts []types.Tuple) {
 		for range ts {
@@ -66,25 +66,9 @@ func TestExchangePartitioning(t *testing.T) {
 	for _, tp := range rows {
 		exS.Push(tp)
 	}
-	colParts := make([][]types.Tuple, parts)
-	exC := NewExchange(parts, []int{0}, func(p int, ts []types.Tuple) {
-		colParts[p] = append(colParts[p], ts...)
-	})
-	cb := types.FromRows(rows, 2)
-	exC.PushColBatch(cb)
 	for i, tp := range rows {
 		if scalar[i] != ex.PartitionOf(tp) {
 			t.Fatalf("scalar route %d != batch route %d for %v", scalar[i], ex.PartitionOf(tp), tp)
-		}
-	}
-	for p := range routed {
-		if len(colParts[p]) != len(routed[p]) {
-			t.Fatalf("columnar partition %d has %d rows, batch %d", p, len(colParts[p]), len(routed[p]))
-		}
-		for i := range routed[p] {
-			if colParts[p][i].String() != routed[p][i].String() {
-				t.Fatalf("columnar row %v != batch row %v", colParts[p][i], routed[p][i])
-			}
 		}
 	}
 }
@@ -104,10 +88,7 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkExchangePartition tracks the exchange partition path — the
 // per-batch scatter cost the parallel driver pays per source run. One op
-// routes one 256-row batch across 4 partitions (CI budget: ≤ 2 allocs/op
-// per variant). The rows variant scatters a row batch; the columnar
-// variant scatters a columnar frame through the selection-vector Gather
-// path (no transpose at the boundary).
+// routes one 256-row batch across 4 partitions (CI budget: ≤ 2 allocs/op).
 func BenchmarkExchangePartition(b *testing.B) {
 	rows := randTuples(256, 64, 11, rRow)
 	b.Run("rows", func(b *testing.B) {
@@ -117,18 +98,6 @@ func BenchmarkExchangePartition(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ex.PushBatch(rows)
-		}
-		_ = n
-	})
-	b.Run("columnar", func(b *testing.B) {
-		cb := types.FromRows(rows, 2)
-		var n int
-		ex := NewExchange(4, []int{0}, func(_ int, ts []types.Tuple) { n += len(ts) })
-		ex.RouteCol(func(_ int, fb *types.ColBatch) { n += fb.Len() })
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ex.PushColBatch(cb)
 		}
 		_ = n
 	})

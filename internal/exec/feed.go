@@ -20,11 +20,6 @@ type Leaf struct {
 	// the plan in one call (the driver's vectorized delivery path). The
 	// slice is reused across batches and must not be retained.
 	PushBatch func(ts []types.Tuple)
-	// PushColBatch, when set, delivers a batch of post-filter tuples as a
-	// columnar (struct-of-arrays) batch, the layout the vectorized key
-	// kernels want; it takes precedence over PushBatch. The batch is
-	// reused across deliveries and must not be retained.
-	PushColBatch func(b *types.ColBatch)
 	// Pred is the bound local selection (nil = none).
 	Pred func(t types.Tuple) bool
 	// OnTuple observes every tuple read (pre-filter), e.g. histogram
@@ -35,10 +30,6 @@ type Leaf struct {
 	// Passed counts tuples surviving the filter.
 	Read   int64
 	Passed int64
-
-	// colScratch is the reused columnar delivery batch (PushColBatch
-	// leaves only).
-	colScratch *types.ColBatch
 }
 
 // Driver delivers source tuples into a plan in global availability order:
@@ -164,20 +155,9 @@ func (d *Driver) stepBatch(max int, batch *[]types.Tuple) int {
 	}
 	*batch = buf
 	if len(buf) > 0 {
-		switch {
-		case l.PushColBatch != nil:
-			// Columnar delivery: transpose the run into the leaf's reused
-			// struct-of-arrays batch so the plan's key kernels can run
-			// column-at-a-time.
-			if l.colScratch == nil {
-				l.colScratch = types.NewColBatch(l.Provider.Schema().Len())
-			}
-			l.colScratch.Reset()
-			l.colScratch.AppendRows(buf)
-			l.PushColBatch(l.colScratch)
-		case l.PushBatch != nil:
+		if l.PushBatch != nil {
 			l.PushBatch(buf)
-		default:
+		} else {
 			for _, t := range buf {
 				l.Push(t)
 			}

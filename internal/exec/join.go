@@ -84,25 +84,18 @@ type HashJoin struct {
 	keyScratch types.Tuple
 	em         BatchEmitter
 
-	// Columnar-execution scratch: the reused batch hash vector and the
-	// arena-backed materializer turning columnar input rows into the
-	// tuples the state structures retain.
-	hashVec []uint64
-	colIn   colDelivery
-
-	// Columnar-emit scratch: colOut caches the one downstream type
-	// assertion (nil when the sink cannot take columns), hits gathers
-	// columnar probe hits into the reused output batch, and leftWidth
-	// locates the left/right halves of the output layout.
-	colOut    ColBatchSink
-	hits      hitEmitter
-	leftWidth int
-
 	// Delta-maintenance state (standing queries): deletes build into
 	// lazily created negative tables — the z-set representation, where a
 	// side's effective multiset is its main state minus its negative
-	// state — and signed emits leave through sout, which bridges the
-	// columnar hit gatherer to the downstream DeltaSink.
+	// state — and signed emits leave through sout. A signed batch's key
+	// columns hash in one sweep into hashVec, deltaIn materializes its
+	// rows for the tables, hits gathers probe hits into signed output
+	// frames, and leftWidth locates the left/right halves of the output
+	// layout.
+	hashVec      []uint64
+	deltaIn      ColRows
+	hits         hitEmitter
+	leftWidth    int
 	negLeftHT    *state.HashTable
 	negRightHT   *state.HashTable
 	negLeftList  *state.List
@@ -126,7 +119,6 @@ func NewHashJoin(ctx *Context, style JoinStyle, leftSchema, rightSchema *types.S
 		schema:    leftSchema.Concat(rightSchema),
 		leftWidth: leftSchema.Len(),
 	}
-	j.colOut, _ = out.(ColBatchSink)
 	if style == NestedLoops {
 		j.leftList = state.NewList(leftSchema)
 		j.rightList = state.NewList(rightSchema)
@@ -442,11 +434,10 @@ type Filter struct {
 	scratch  []types.Tuple
 	counters stats.OpCounters
 
-	// Columnar scratch: survivor gather batch, predicate row view, and
-	// downstream delivery machinery.
+	// Signed-path scratch: survivor gather frame, predicate row view, and
+	// downstream delta delivery.
 	colScratch *types.ColBatch
 	rowView    types.Tuple
-	del        colDelivery
 	dfw        DeltaForward
 }
 
@@ -494,10 +485,9 @@ type Project struct {
 	scratch  []types.Tuple
 	counters stats.OpCounters
 
-	// Columnar scratch: the zero-copy aliased output batch and downstream
-	// delivery machinery.
+	// Signed-path scratch: the zero-copy aliased output frame and
+	// downstream delta delivery.
 	colScratch *types.ColBatch
-	del        colDelivery
 	dfw        DeltaForward
 }
 
@@ -539,7 +529,6 @@ func (p *Project) Counters() *stats.OpCounters { return &p.counters }
 type Combine struct {
 	out      Sink
 	counters stats.OpCounters
-	del      colDelivery
 	dfw      DeltaForward
 }
 

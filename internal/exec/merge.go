@@ -93,17 +93,7 @@ type MergeJoin struct {
 	right  mergeSide
 	schema *types.Schema
 
-	em BatchEmitter
-
-	// Columnar scratch: the reused batch hash vector and arena-backed
-	// materializer for columnar entries (group storage and the local
-	// tables need retention-safe rows), plus the columnar emitter used
-	// when the downstream sink takes columns and the input arrived
-	// columnar.
-	hashVec  []uint64
-	colIn    colDelivery
-	colOut   ColBatchSink
-	cem      ColBatchEmitter
+	em       BatchEmitter
 	counters stats.OpCounters
 }
 
@@ -119,7 +109,6 @@ func NewMergeJoin(ctx *Context, leftSchema, rightSchema *types.Schema, leftKey, 
 		right: mergeSide{keyCols: rightKey,
 			table: state.NewHashTable(rightSchema, rightKey)},
 	}
-	m.colOut, _ = out.(ColBatchSink)
 	return m
 }
 
@@ -211,78 +200,6 @@ func (m *MergeJoin) pushBatch(side *mergeSide, inSide *int64, ts []types.Tuple) 
 	return firstErr
 }
 
-// PushLeftColBatch feeds a columnar batch of in-order tuples to the left
-// input. The batch's key columns hash in one HashKeys sweep (shared by
-// the local-table bulk insert), rows materialize once into arena-backed
-// tuples (group storage retains them), and — when the downstream sink
-// takes columns — the batch's join outputs emit columnar, appended
-// column-at-a-time into a reused output batch with no row-major
-// concatenation. Counters, charges (up to batch summation), output order,
-// and error handling match the row-batch path.
-func (m *MergeJoin) PushLeftColBatch(b *types.ColBatch) error {
-	m.beginEmit()
-	err := m.pushColBatch(&m.left, &m.counters.InLeft, b)
-	m.flushEmit()
-	return err
-}
-
-// PushRightColBatch feeds a columnar batch to the right input.
-func (m *MergeJoin) PushRightColBatch(b *types.ColBatch) error {
-	m.beginEmit()
-	err := m.pushColBatch(&m.right, &m.counters.InRight, b)
-	m.flushEmit()
-	return err
-}
-
-// pushColBatch mirrors pushBatch for a columnar entry: one vectorized
-// hash sweep, a bulk materialize, a bulk hashed table insert, then the
-// per-row merge bookkeeping (group accounting, advance, per-tuple
-// rejection of out-of-order arrivals).
-func (m *MergeJoin) pushColBatch(side *mergeSide, inSide *int64, b *types.ColBatch) error {
-	n := b.Len()
-	if n == 0 {
-		return nil
-	}
-	m.hashVec = types.HashKeys(m.hashVec, b, side.keyCols)
-	rows := m.colIn.materialize(b)
-	side.table.InsertHashedBatch(m.hashVec, rows)
-	var firstErr error
-	for _, t := range rows {
-		m.counters.In++
-		*inSide++
-		// Charged per row, not in bulk, so the clock accumulates in the
-		// row path's exact order (float summation order is observable:
-		// the equivalence pins require byte-identical clocks).
-		m.ctx.Clock.Charge(m.ctx.Cost.HashInsert)
-		if err := side.push(t); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		m.advance()
-	}
-	return firstErr
-}
-
-// beginEmit arms the columnar emitter when the downstream sink takes
-// columns, the row emitter otherwise (columnar entries only).
-func (m *MergeJoin) beginEmit() {
-	if m.colOut != nil {
-		m.cem.Begin(m.schema.Len())
-		return
-	}
-	m.em.Begin()
-}
-
-func (m *MergeJoin) flushEmit() {
-	if m.colOut != nil {
-		m.cem.Flush(m.colOut)
-		return
-	}
-	m.em.Flush(m.out)
-}
-
 // mergeSideSink exposes one input of a MergeJoin as a (batch-capable)
 // sink. The Sink interface has no error channel and an out-of-order push
 // is a routing bug by the merge join's contract, so a caller wiring a
@@ -317,15 +234,6 @@ func (s mergeSideSink) PushBatch(ts []types.Tuple) {
 	}
 }
 
-// PushColBatch implements ColBatchSink.
-func (s mergeSideSink) PushColBatch(b *types.ColBatch) {
-	if s.left {
-		s.check(s.m.PushLeftColBatch(b))
-	} else {
-		s.check(s.m.PushRightColBatch(b))
-	}
-}
-
 // LeftSink returns the join's left input as a batch-capable sink.
 func (m *MergeJoin) LeftSink() Sink { return mergeSideSink{m: m, left: true} }
 
@@ -344,15 +252,10 @@ func (m *MergeJoin) FinishRight() {
 	m.advance()
 }
 
-// emit delivers one joined tuple (buffered during a batch; columnar when
-// a columnar entry armed the columnar emitter).
+// emit delivers one joined tuple (buffered during a batch).
 func (m *MergeJoin) emit(lt, rt types.Tuple) {
 	m.ctx.Clock.Charge(m.ctx.Cost.Move)
 	m.counters.Out++
-	if m.cem.active {
-		m.cem.EmitConcat(m.colOut, lt, rt)
-		return
-	}
 	m.em.EmitConcat(m.out, lt, rt)
 }
 

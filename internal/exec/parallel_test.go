@@ -199,20 +199,19 @@ func TestParallelDriverStageSend(t *testing.T) {
 }
 
 // BenchmarkPartitionMergeRelease tracks the order-releasing root path:
-// one op pushes a 256-row columnar frame into the watermark partition and
-// releases it downstream as a columnar view (the mid-phase streaming
-// flush the monitor performs at every poll). Steady state recycles the
-// fully-released buffer, so the budget pinned in scripts/check_allocs.sh
-// holds the whole push-and-release cycle near zero allocations.
+// one op pushes a 256-row batch into the watermark partition and releases
+// it downstream as a row batch (the mid-phase streaming flush the monitor
+// performs at every poll). Steady state recycles the fully-released
+// buffer, so the budget pinned in scripts/check_allocs.sh holds the whole
+// push-and-release cycle near zero allocations.
 func BenchmarkPartitionMergeRelease(b *testing.B) {
 	rows := randTuples(256, 64, 13, rRow)
-	cb := types.FromRows(rows, 2)
 	merge := NewPartitionMerge(4)
-	sink := merge.Sink(0).(ColBatchSink)
+	sink := merge.Sink(0).(BatchSink)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink.PushColBatch(cb)
+		sink.PushBatch(rows)
 		merge.ReleasePrefix(Discard)
 	}
 	b.StopTimer()

@@ -40,23 +40,9 @@ func BenchmarkPipelinedJoinPush(b *testing.B) {
 			j.PushRightBatch(rs[i:end])
 		}
 	})
-	b.Run("columnar", func(b *testing.B) {
-		ls, rs := mkRows(b.N)
-		lbs := toColBatches(ls, batch)
-		rbs := toColBatches(rs, batch)
-		j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, Discard)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := range lbs {
-			j.PushLeftColBatch(lbs[i])
-			j.PushRightColBatch(rbs[i])
-		}
-	})
 
-	// Wide-schema variants (12 columns per side, 24-column join output):
-	// the regime where layout matters most. The batch path pays one
-	// arena-backed 24-slot concat per emit; the columnar path gathers hit
-	// columns into reused output vectors and never forms the row.
+	// Wide-schema variant (12 columns per side, 24-column join output):
+	// the batch path pays one arena-backed 24-slot concat per emit.
 	wl, wr := wideSchemas(wideCols)
 	mkWide := func(n int) ([]types.Tuple, []types.Tuple) {
 		dom := int64(max(n/4, 4))
@@ -73,22 +59,11 @@ func BenchmarkPipelinedJoinPush(b *testing.B) {
 			j.PushRightBatch(rs[i:end])
 		}
 	})
-	b.Run("columnar-wide", func(b *testing.B) {
-		ls, rs := mkWide(b.N)
-		lbs := toColBatches(ls, batch)
-		rbs := toColBatches(rs, batch)
-		j := NewHashJoin(NewContext(), Pipelined, wl, wr, []int{0}, []int{0}, Discard)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := range lbs {
-			j.PushLeftColBatch(lbs[i])
-			j.PushRightColBatch(rbs[i])
-		}
-	})
+
 }
 
 // wideCols is the wide-schema width per join side (≥12 columns — the
-// payload-heavy regime the columnar layout targets).
+// payload-heavy regime where per-emit row width dominates).
 const wideCols = 12
 
 // wideSchemas builds two wideCols-column schemas (key first, then
@@ -116,14 +91,14 @@ func wideRow(k, v int64) types.Tuple {
 }
 
 // toColBatches transposes rows into columnar batches of the given size
-// (bench setup; the driver does this transposition per same-source run).
+// (bench setup for the signed delta paths).
 func toColBatches(rows []types.Tuple, batch int) []*types.ColBatch {
 	if len(rows) == 0 {
 		return nil
 	}
 	var out []*types.ColBatch
 	for i := 0; i < len(rows); i += batch {
-		out = append(out, types.FromRows(rows[i:min(i+batch, len(rows))], len(rows[0])))
+		out = append(out, deltaBatch(rows[i:min(i+batch, len(rows))]...))
 	}
 	return out
 }
@@ -134,7 +109,7 @@ func toColBatches(rows []types.Tuple, batch int) []*types.ColBatch {
 func BenchmarkHashKeys(b *testing.B) {
 	const rows = 1024
 	ts := randTuples(rows, 256, 12, rRow)
-	cb := types.FromRows(ts, 2)
+	cb := deltaBatch(ts...)
 	cols := []int{0, 1}
 	vec := types.HashKeys(nil, cb, cols)
 	b.ReportAllocs()

@@ -1,19 +1,18 @@
 package types
 
-// Columnar (struct-of-arrays) batches. Row batches ([]Tuple) move through
-// the push pipeline as vectors of pointer-chasing tuples, so the hot key
-// machinery (hashing, key equality, group routing) walks one value at a
-// time with a cache miss per tuple. A ColBatch stores the same rows as
-// per-column value arrays, which lets the key kernels run column-at-a-time
-// over dense storage: HashKeys folds a whole batch's key columns into a
-// reused hash vector, and downstream operators consume that one vector per
-// batch (state.HashTable.InsertHashedBatch / ProbeHashedBatch,
-// exec.AggTable group routing) instead of hashing tuple-by-tuple.
+// Columnar (struct-of-arrays) batches are the frame of the signed delta
+// path (standing-query maintenance); unsigned execution moves row batches
+// ([]Tuple). A ColBatch stores its rows as per-column value arrays, which
+// lets the key kernels run column-at-a-time over dense storage: HashKeys
+// folds a whole batch's key columns into a reused hash vector, and the
+// signed consumers (state.HashTable.InsertHashedBatch / ProbeHashedBatch,
+// exec.AggTable group routing) spend that one vector per batch instead of
+// hashing tuple-by-tuple.
 //
 // Ownership contract: a ColBatch handed to a consumer is only valid for
 // the duration of the call (like a row batch), and its storage is reused
 // by the producer. Consumers that retain rows must materialize them as
-// tuples (ReadRow / AppendRows), which copies the values out.
+// tuples (ReadRow), which copies the values out.
 
 // ColBatch is a struct-of-arrays tuple batch: cols[j][i] is column j of
 // row i. All columns have identical length.
@@ -67,48 +66,6 @@ func (b *ColBatch) AppendRows(ts []Tuple) {
 	}
 }
 
-// AppendConcat appends the row l ++ r, column-at-a-time: the join-emit
-// bridge that never materializes the concatenated row. l's values land in
-// columns [0, len(l)), r's in [len(l), len(l)+len(r)).
-func (b *ColBatch) AppendConcat(l, r Tuple) {
-	for j, v := range l {
-		b.cols[j] = append(b.cols[j], v)
-	}
-	w := len(l)
-	for j, v := range r {
-		b.cols[w+j] = append(b.cols[w+j], v)
-	}
-	b.n++
-}
-
-// Append appends every row of src (a bulk column-wise copy; widths must
-// match). The values are copied out of src's storage, so the appended
-// rows survive src's reuse.
-func (b *ColBatch) Append(src *ColBatch) {
-	for j := range b.cols {
-		b.cols[j] = append(b.cols[j], src.cols[j]...)
-	}
-	b.n += src.n
-}
-
-// Gather appends the selected rows of src in sel order. Like HashKeys it
-// runs column-at-a-time — each output column is one dense sweep over the
-// source column's storage — so a partition scatter gathers P sub-batches
-// without ever forming a row.
-//
-//adp:hotpath gated by BenchmarkExchangePartition (scripts/check_allocs.sh)
-func (b *ColBatch) Gather(src *ColBatch, sel []int32) {
-	for j := range b.cols {
-		sc := src.cols[j]
-		dc := b.cols[j]
-		for _, i := range sel {
-			dc = append(dc, sc[i])
-		}
-		b.cols[j] = dc
-	}
-	b.n += len(sel)
-}
-
 // AppendHits appends len(sel) join-output rows built from probe hits
 // without materializing any row: hit k joins probe row sel[k] of src with
 // the row-major matched tuple matches[k]. The probe side's columns gather
@@ -116,7 +73,7 @@ func (b *ColBatch) Gather(src *ColBatch, sel []int32) {
 // tuple spreads into [matchOff, matchOff+len(matches[k])). sel and
 // matches must have equal length.
 //
-//adp:hotpath gated by BenchmarkPipelinedJoinPush (scripts/check_allocs.sh)
+//adp:hotpath gated by BenchmarkDeltaPropagation (scripts/check_allocs.sh)
 func (b *ColBatch) AppendHits(src *ColBatch, sel []int32, probeOff int, matches []Tuple, matchOff int) {
 	for j, sc := range src.cols {
 		dc := b.cols[probeOff+j]
@@ -133,51 +90,12 @@ func (b *ColBatch) AppendHits(src *ColBatch, sel []int32, probeOff int, matches 
 	b.n += len(sel)
 }
 
-// SliceInto points dst at rows [lo, hi) of b without copying: dst's
-// columns alias b's storage, so dst is valid only until b's next append
-// or Reset and must not be appended to. The order-releasing partition
-// merge uses it to hand out stable prefixes of an append-only buffer.
-func (b *ColBatch) SliceInto(dst *ColBatch, lo, hi int) {
-	if cap(dst.cols) < len(b.cols) {
-		dst.cols = make([][]Value, len(b.cols))
-	}
-	dst.cols = dst.cols[:len(b.cols)]
-	for j := range b.cols {
-		dst.cols[j] = b.cols[j][lo:hi:hi]
-	}
-	dst.n = hi - lo
-}
-
-// FromRows builds a fresh columnar batch from a row batch (the row→column
-// bridge; hot paths reuse a ColBatch via Reset+AppendRows instead).
-func FromRows(ts []Tuple, width int) *ColBatch {
-	b := NewColBatch(width)
-	b.AppendRows(ts)
-	return b
-}
-
 // ReadRow materializes row i into dst (which must have the batch's
 // width), copying the values out of columnar storage.
 func (b *ColBatch) ReadRow(dst Tuple, i int) {
 	for j := range b.cols {
 		dst[j] = b.cols[j][i]
 	}
-}
-
-// Row returns row i as a freshly allocated tuple.
-func (b *ColBatch) Row(i int) Tuple {
-	t := make(Tuple, len(b.cols))
-	b.ReadRow(t, i)
-	return t
-}
-
-// ToRows materializes every row, appending to dst (the column→row
-// bridge). Each returned tuple owns its storage.
-func (b *ColBatch) ToRows(dst []Tuple) []Tuple {
-	for i := 0; i < b.n; i++ {
-		dst = append(dst, b.Row(i))
-	}
-	return dst
 }
 
 // HashKeys hashes the key columns of every row of b into dst, reusing

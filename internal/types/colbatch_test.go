@@ -19,16 +19,24 @@ func colSample() []Tuple {
 	}
 }
 
+// colOf transposes rows into a fresh batch.
+func colOf(rows []Tuple, width int) *ColBatch {
+	b := NewColBatch(width)
+	b.AppendRows(rows)
+	return b
+}
+
 func TestColBatchRoundTrip(t *testing.T) {
 	rows := colSample()
-	b := FromRows(rows, 3)
+	b := colOf(rows, 3)
 	if b.Len() != len(rows) || b.Width() != 3 {
 		t.Fatalf("batch %dx%d, want %dx3", b.Len(), b.Width(), len(rows))
 	}
-	back := b.ToRows(nil)
+	back := make(Tuple, 3)
 	for i := range rows {
-		if rows[i].String() != back[i].String() {
-			t.Fatalf("row %d: %v round-tripped to %v", i, rows[i], back[i])
+		b.ReadRow(back, i)
+		if rows[i].String() != back.String() {
+			t.Fatalf("row %d: %v round-tripped to %v", i, rows[i], back)
 		}
 		for j := range rows[i] {
 			if !StrictEqual(b.At(i, j), rows[i][j]) {
@@ -54,7 +62,7 @@ func TestColBatchRoundTrip(t *testing.T) {
 // subset, so batched and tuple-at-a-time executions route identically.
 func TestHashKeysMatchesRowHash(t *testing.T) {
 	rows := colSample()
-	b := FromRows(rows, 3)
+	b := colOf(rows, 3)
 	for _, cols := range [][]int{{0}, {1}, {2}, {0, 1}, {2, 0}, {0, 1, 2}, {}} {
 		hashes := HashKeys(nil, b, cols)
 		if len(hashes) != len(rows) {
@@ -75,7 +83,7 @@ func TestHashKeysReuseZeroAllocs(t *testing.T) {
 	for i := range rows {
 		rows[i] = Tuple{Int(int64(i % 37)), Str("payload")}
 	}
-	b := FromRows(rows, 2)
+	b := colOf(rows, 2)
 	cols := []int{0, 1}
 	vec := HashKeys(nil, b, cols)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -123,7 +131,7 @@ func TestNaNHashesEqual(t *testing.T) {
 
 func TestColAccessor(t *testing.T) {
 	rows := colSample()
-	b := FromRows(rows, 3)
+	b := colOf(rows, 3)
 	for j := 0; j < 3; j++ {
 		col := b.Col(j)
 		if len(col) != len(rows) {

@@ -38,14 +38,11 @@ check() {
 # benchmarks delivers one tuple per side.
 check 'BenchmarkHashTableProbe'                  0  # both probe variants: allocation-free
 check 'BenchmarkPipelinedJoinPush/batch(-[0-9]+)?$'    2  # PR 1 headline: batched push <= 2 allocs/op
-check 'BenchmarkPipelinedJoinPush/columnar(-[0-9]+)?$' 2  # PR 3/9: columnar push never above the row path
 check 'BenchmarkPipelinedJoinPush/batch-wide'    2  # PR 9: wide-schema row baseline
-check 'BenchmarkPipelinedJoinPush/columnar-wide' 2  # PR 9: wide-schema columnar gather-emit
 check 'BenchmarkHashKeys'                        0  # PR 3: vectorized hash kernel reuse path
 check 'BenchmarkMergeJoinPush/batch'             4  # PR 2: batched ordered merge join
 check 'BenchmarkAggTableAbsorb'                  1  # group-by absorb: zero steady-state (1 = headroom)
 check 'BenchmarkExchangePartition/rows'          2  # PR 4: exchange row scatter, steady-state <= 2 per batch
-check 'BenchmarkExchangePartition/columnar'      2  # PR 9: columnar exchange frame (selection-vector Gather)
 check 'BenchmarkPartitionMergeRelease'           1  # PR 9: order-releasing root flush (1 = headroom)
 check 'BenchmarkStreamDelivery'                  2  # PR 5: cursor Next() per row, whole pipeline on the count
 check 'BenchmarkFaultyNext'                      1  # PR 6: fault wrapper no-fault fast path (1 = Reset headroom)
