@@ -153,10 +153,10 @@
 // column-at-a-time into one reused hash vector, state.HashTable consumes
 // that vector via InsertHashedBatch and ProbeHashedBatch, and AggTable
 // routes groups by hash plus strict value identity (types.StrictEqual)
-// instead of per-row key encoding. Because join and stitch-up state holds
-// row tuples, a columnar unsigned pipeline transposed every batch twice —
-// into columns at the leaf and back into rows at each join — and measured
-// slower end to end, so it was removed.
+// instead of per-row key encoding. Plain execution stays on rows because
+// join and stitch-up state holds row tuples: an unsigned columnar batch
+// would be transposed twice, into columns at the leaf and back into rows
+// at each join.
 //
 // # Parallel execution
 //

@@ -70,7 +70,7 @@ type blockingPreAgg struct {
 }
 
 func (b *blockingPreAgg) flush() {
-	b.table.EmitPartialTo(b.out)
+	exec.PushAll(b.out, b.table.EmitPartial())
 }
 
 // Lower compiles an optimizer plan tree into an executable push pipeline

@@ -385,13 +385,6 @@ func (a *AggTable) EmitPartial() []types.Tuple {
 	return out
 }
 
-// EmitPartialTo delivers EmitPartial's group revisions downstream as one
-// batch. Row order, counters, and charges are identical to pushing
-// EmitPartial's rows one at a time.
-func (a *AggTable) EmitPartialTo(out Sink) {
-	PushAll(out, a.EmitPartial())
-}
-
 // Pseudogroup converts raw tuples into partial-layout singletons: "a
 // trivial pseudogroup operator that essentially performs pre-aggregation
 // over each successive singleton tuple set ... it costs little more than a
