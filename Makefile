@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint build test bench bench-perf check-fmt check-allocs fuzz-short examples chaos serve-smoke ci
+.PHONY: all vet lint build test stress-registry bench bench-perf check-fmt check-allocs fuzz-short examples chaos serve-smoke ci
 
 all: ci
 
@@ -35,14 +35,20 @@ build:
 test:
 	$(GO) test ./...
 
-# Fast perf smoke: hash-probe, batched push, vectorized key
-# hashing, ordered merge-join, exchange-partitioning, and streaming
-# cursor delivery hot paths with allocation reporting (these back the PR
-# acceptance criteria). The exec join benches grow one hash table for the
-# whole run, so layouts are only comparable at equal iteration counts —
-# hence the fixed -benchtime.
+# Lock-order stress: the registry race test repeated under a short
+# timeout, so a recursive-RLock regression (which deadlocks only once a
+# Register is queued) fails within seconds instead of stalling `test`.
+stress-registry:
+	$(GO) test -run TestRegistryConcurrentPerPartitionRegistration -count=50 -timeout 120s ./internal/state
+
+# Fast perf smoke: hash-probe, list capture append, batched push,
+# vectorized key hashing, ordered merge-join, exchange-partitioning, and
+# streaming cursor delivery hot paths with allocation reporting (these
+# back the PR acceptance criteria). The exec join benches grow one hash
+# table for the whole run, so layouts are only comparable at equal
+# iteration counts — hence the fixed -benchtime.
 bench-perf:
-	$(GO) test -run='^$$' -bench='BenchmarkHashTableProbe' -benchmem ./internal/state/
+	$(GO) test -run='^$$' -bench='BenchmarkHashTableProbe|BenchmarkListInsertBatch' -benchmem ./internal/state/
 	$(GO) test -run='^$$' -bench='BenchmarkPipelinedJoinPush|BenchmarkMergeJoinPush|BenchmarkAggTableAbsorb|BenchmarkHashKeys|BenchmarkExchangePartition|BenchmarkPartitionMergeRelease|BenchmarkDeltaPropagation' -benchmem -benchtime=300000x ./internal/exec/
 	$(GO) test -run='^$$' -bench='BenchmarkStreamDelivery|BenchmarkFirstRow' -benchmem ./internal/engine/
 	$(GO) test -run='^$$' -bench='BenchmarkFaultyNext' -benchmem ./internal/source/
@@ -82,4 +88,4 @@ serve-smoke:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
-ci: check-fmt vet lint build test examples fuzz-short chaos check-allocs serve-smoke
+ci: check-fmt vet lint build stress-registry test examples fuzz-short chaos check-allocs serve-smoke

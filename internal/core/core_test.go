@@ -270,9 +270,15 @@ func TestStitchReuseAblationEquivalent(t *testing.T) {
 	}
 }
 
-func TestPlanPartitionMatchesBruteForce(t *testing.T) {
-	// 4 joins needed to trigger a materialization point at 3: use a
-	// 5-relation chain.
+// chain5 is a 5-relation chain r1 ⋈ r2 ⋈ r3 ⋈ r4 ⋈ r5 on k with a
+// count per r1.k: 4 joins, enough to trigger plan partitioning's
+// materialization point at 3. Every relation holds 100 rows over 40 keys.
+func chain5() (rels []*source.Relation, q *algebra.Query) {
+	return chain5Sized([5]int{100, 100, 100, 100, 100}, [5]int64{40, 40, 40, 40, 40})
+}
+
+// chain5Sized is chain5 with per-relation row counts and key domains.
+func chain5Sized(n [5]int, dom [5]int64) (rels []*source.Relation, q *algebra.Query) {
 	mkRel := func(name string, n int, dom int64, seed int64) (*source.Relation, *types.Schema) {
 		s := types.NewSchema(
 			types.Column{Name: name + ".k", Kind: types.KindInt},
@@ -285,12 +291,12 @@ func TestPlanPartitionMatchesBruteForce(t *testing.T) {
 		}
 		return source.NewRelation(name, s, rows), s
 	}
-	r1, s1 := mkRel("r1", 100, 40, 1)
-	r2, s2 := mkRel("r2", 100, 40, 2)
-	r3, s3 := mkRel("r3", 100, 40, 3)
-	r4, s4 := mkRel("r4", 100, 40, 4)
-	r5, s5 := mkRel("r5", 100, 40, 5)
-	q := &algebra.Query{
+	r1, s1 := mkRel("r1", n[0], dom[0], 1)
+	r2, s2 := mkRel("r2", n[1], dom[1], 2)
+	r3, s3 := mkRel("r3", n[2], dom[2], 3)
+	r4, s4 := mkRel("r4", n[3], dom[3], 4)
+	r5, s5 := mkRel("r5", n[4], dom[4], 5)
+	q = &algebra.Query{
 		Name: "chain5",
 		Relations: []algebra.RelRef{
 			{Name: "r1", Schema: s1}, {Name: "r2", Schema: s2}, {Name: "r3", Schema: s3},
@@ -305,6 +311,12 @@ func TestPlanPartitionMatchesBruteForce(t *testing.T) {
 		GroupBy: []string{"r1.k"},
 		Aggs:    []algebra.AggSpec{{Kind: algebra.AggCount, As: "n"}},
 	}
+	return []*source.Relation{r1, r2, r3, r4, r5}, q
+}
+
+func TestPlanPartitionMatchesBruteForce(t *testing.T) {
+	rels, q := chain5()
+	r1, r2, r3, r4, r5 := rels[0], rels[1], rels[2], rels[3], rels[4]
 	// Brute force: count per key = prod of per-relation key counts.
 	count := func(r *source.Relation) map[int64]int64 {
 		m := map[int64]int64{}

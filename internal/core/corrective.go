@@ -244,7 +244,12 @@ type executor struct {
 	spjRows    []types.Tuple
 	outSchema  *types.Schema
 
-	phases   []*PhaseRecord
+	phases []*PhaseRecord
+	// keepBase captures each phase's post-filter leaf input in its
+	// PhaseRecord.BaseParts. Only two readers exist: stitch-up, which
+	// runs only after a corrective switch, and the maintenance stage,
+	// which seeds its base logs from the capture.
+	keepBase bool
 	consumed map[string]float64 // pre-filter reads per relation (completed phases)
 	passed   map[string]float64 // post-filter (completed phases)
 	live     map[string]float64 // pre-filter reads including the running phase
@@ -305,6 +310,7 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 		reg:      stats.NewRegistry(),
 		runCtx:   ctx,
 		hooks:    hooks,
+		keepBase: o.Strategy == Corrective,
 		consumed: map[string]float64{},
 		passed:   map[string]float64{},
 		live:     map[string]float64{},
@@ -638,7 +644,7 @@ func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Pl
 	if err != nil {
 		return false, nil, err
 	}
-	tree, err := Lower(ex.ctx, root, sink)
+	tree, err := Lower(ex.ctx, root, sink, ex.o.Strategy == Corrective)
 	if err != nil {
 		return false, nil, err
 	}
@@ -679,7 +685,8 @@ func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Pl
 		return false, nil, rerr
 	}
 	tree.Finish()
-	ex.recordObservations(tree.joinViews(), leaves, phasePassed)
+	views := tree.joinViews()
+	ex.recordObservations(views, leaves, phasePassed)
 	// Fold this phase's reads into the completed-phase totals.
 	for _, l := range leaves {
 		ex.consumed[l.Provider.Name()] += float64(l.Read)
@@ -688,8 +695,11 @@ func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Pl
 
 	// Register materialized intermediates for stitch-up reuse.
 	for _, j := range tree.Joins {
-		rec.Interm[j.Key] = j.ResultBuf
+		if j.ResultBuf != nil {
+			rec.Interm[j.Key] = j.ResultBuf
+		}
 	}
+	rec.RootOut = rootJoinOut(views)
 	ex.phases = append(ex.phases, rec)
 	ex.rep.Phases = append(ex.rep.Phases, PhaseInfo{
 		Plan:      root.String(),
@@ -711,7 +721,7 @@ func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Pl
 func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next algebra.Plan, err error) {
 	parts := ex.o.Partitions
 	merge := exec.NewPartitionMerge(parts)
-	pt, lerr := LowerPartitioned(parts, ex.ctx.Cost, root, merge)
+	pt, lerr := LowerPartitioned(parts, ex.ctx.Cost, root, merge, ex.o.Strategy == Corrective)
 	if lerr != nil {
 		return ex.runPhase(root)
 	}
@@ -793,20 +803,19 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 	// then merge root output into the shared sink in partition order.
 	pd.FoldClocks()
 	merge.Drain(sink)
-	ex.recordObservations(pt.JoinViews(), leaves, phasePassed)
+	views := pt.JoinViews()
+	ex.recordObservations(views, leaves, phasePassed)
 	for _, l := range leaves {
 		ex.consumed[l.Provider.Name()] += float64(l.Read)
 		ex.passed[l.Provider.Name()] += float64(l.Passed)
 	}
-	// Register merged materialized intermediates for stitch-up reuse —
-	// only the corrective strategy can grow a second phase, so a static
-	// run skips the O(join output) merge entirely.
-	if ex.o.Strategy == Corrective {
-		//adp:unordered-ok map→map copy; stitch-up reads Interm by key
-		for key, list := range pt.MergedInterm() {
-			rec.Interm[key] = list
-		}
+	// Register merged materialized intermediates for stitch-up reuse
+	// (only a corrective tree buffers any).
+	//adp:unordered-ok map→map copy; stitch-up reads Interm by key
+	for key, list := range pt.MergedInterm() {
+		rec.Interm[key] = list
 	}
+	rec.RootOut = rootJoinOut(views)
 	// Partition clocks run on the absolute virtual timeline (arrivals are
 	// stamped with the driver clock, which carries prior phases' time), so
 	// the per-phase reading is the delta against the phase start.
@@ -835,13 +844,16 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 }
 
 // wireLeaf builds one phase leaf — filter pushdown, base-partition
-// capture into rec, phasePassed counting, optional instrumentation —
-// delivering post-filter tuples to push/pushBatch (the plan entry in a
-// serial phase, the partition scatter in a parallel one). pushBatch may
-// be nil when the target has no batch entry.
+// capture into rec (when ex.keepBase), phasePassed counting, optional
+// instrumentation — delivering post-filter tuples to push/pushBatch (the
+// plan entry in a serial phase, the partition scatter in a parallel one).
+// pushBatch may be nil when the target has no batch entry.
 func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed map[string]float64, push func(types.Tuple), pushBatch func([]types.Tuple)) (*exec.Leaf, error) {
-	part := state.NewList(rel.Schema)
-	rec.BaseParts[rel.Name] = part
+	var part *state.List
+	if ex.keepBase {
+		part = state.NewList(rel.Schema)
+		rec.BaseParts[rel.Name] = part
+	}
 	var pred func(types.Tuple) bool
 	if p, ok := ex.q.Filters[rel.Name]; ok && p != nil {
 		bound, err := p.BindPred(rel.Schema)
@@ -855,14 +867,18 @@ func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed m
 		Provider: ex.cat.Providers[name],
 		Pred:     pred,
 		Push: func(t types.Tuple) {
-			part.Insert(t)
+			if part != nil {
+				part.Insert(t)
+			}
 			phasePassed[name]++
 			push(t)
 		},
 	}
 	if pushBatch != nil {
 		leaf.PushBatch = func(ts []types.Tuple) {
-			part.InsertBatch(ts)
+			if part != nil {
+				part.InsertBatch(ts)
+			}
 			phasePassed[name] += float64(len(ts))
 			pushBatch(ts)
 		}
@@ -950,6 +966,15 @@ type joinView struct {
 	Preds []algebra.JoinPred
 
 	Out, InLeft, InRight int64
+}
+
+// rootJoinOut is the root join's output count (the last view: joins are
+// listed bottom-up), or 0 for a join-free plan.
+func rootJoinOut(views []joinView) int64 {
+	if len(views) == 0 {
+		return 0
+	}
+	return views[len(views)-1].Out
 }
 
 // joinViews snapshots the tree's join counters for the monitor.

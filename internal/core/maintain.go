@@ -127,6 +127,9 @@ func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 		track:   map[string]*ivm.BaseTracker{},
 		ingress: map[string]*deltaIngress{},
 	}
+	// The logs seed from the initial run's captured leaf inputs, so the
+	// capture runs whatever the strategy.
+	ex.keepBase = true
 	for _, rel := range ex.q.Relations {
 		mt.logs[rel.Name] = &deltaLog{}
 		mt.track[rel.Name] = ivm.NewBaseTracker()
@@ -214,10 +217,11 @@ func (mt *maintainer) seedFromInitialRun() {
 				continue
 			}
 			log, track := mt.logs[rel.Name], mt.track[rel.Name]
-			for _, t := range part.Rows() {
+			part.Scan(func(t types.Tuple) bool {
 				log.add(t, 1)
 				track.Add(t)
-			}
+				return true
+			})
 		}
 	}
 }
@@ -247,7 +251,7 @@ func (mt *maintainer) optimizePlan() (algebra.Plan, error) {
 func (mt *maintainer) buildTree(plan algebra.Plan, first bool) error {
 	ex := mt.ex
 	root := &maintRoot{mt: mt, agg: mt.magg}
-	tree, err := Lower(ex.ctx, plan, root)
+	tree, err := Lower(ex.ctx, plan, root, false)
 	if err != nil {
 		return err
 	}

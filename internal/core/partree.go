@@ -96,11 +96,12 @@ func (pl *parLowering) sink(child algebra.Plan, keyCols []int, down exec.Sink) (
 
 // LowerPartitioned compiles plan into parts per-partition pipelines, each
 // delivering its root output to merge's corresponding partition buffer.
-// cost (nil = defaults) is shared by all partition clocks. It returns an
+// cost (nil = defaults) is shared by all partition clocks; keepInterm is
+// Lower's (every clone buffers its non-root join outputs). It returns an
 // error when the plan has no partitionable shape — a leaf without a
 // join/group consumer to key on — in which case callers fall back to the
 // serial Lower path.
-func LowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge *exec.PartitionMerge) (*ParTree, error) {
+func LowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge *exec.PartitionMerge, keepInterm bool) (*ParTree, error) {
 	if parts < 2 {
 		return nil, fmt.Errorf("core: partitioned lowering needs >= 2 partitions, got %d", parts)
 	}
@@ -116,6 +117,7 @@ func LowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge 
 			EntryBatch: map[string]func([]types.Tuple){},
 			RootSchema: plan.Schema(),
 			par:        &parLowering{pt: pt, p: p},
+			keepInterm: keepInterm,
 		}
 		if err := t.build(plan, merge.Sink(p)); err != nil {
 			return nil, err
@@ -225,14 +227,20 @@ func (pt *ParTree) CollisionFactor() float64 {
 }
 
 // MergedInterm concatenates the clones' materialized join intermediates
-// into per-expression lists for stitch-up reuse registration (§3.4.2).
-// Call only after the pipeline has quiesced.
+// into per-expression lists for stitch-up reuse registration (§3.4.2);
+// the merged lists share the clones' segments, so no tuple is copied.
+// Joins without a buffer (the root, or every join of a tree lowered
+// without keepInterm) are absent. Call only after the pipeline has
+// quiesced.
 func (pt *ParTree) MergedInterm() map[string]*state.List {
 	out := map[string]*state.List{}
 	for i, j := range pt.Trees[0].Joins {
+		if j.ResultBuf == nil {
+			continue
+		}
 		merged := state.NewList(j.ResultBuf.Schema())
 		for _, t := range pt.Trees {
-			merged.InsertBatch(t.Joins[i].ResultBuf.Rows())
+			merged.AppendList(t.Joins[i].ResultBuf)
 		}
 		out[j.Key] = merged
 	}

@@ -188,7 +188,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	// Serial reference.
 	sctx := exec.NewContext()
 	var srows []types.Tuple
-	stree, err := Lower(sctx, root, exec.SinkFunc(func(tp types.Tuple) { srows = append(srows, tp) }))
+	stree, err := Lower(sctx, root, exec.SinkFunc(func(tp types.Tuple) { srows = append(srows, tp) }), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	// Partitioned pipelines.
 	const parts = 4
 	merge := exec.NewPartitionMerge(parts)
-	pt, err := LowerPartitioned(parts, nil, root, merge)
+	pt, err := LowerPartitioned(parts, nil, root, merge, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,13 +261,23 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 			t.Errorf("join %s counters = %+v, serial %+v", sviews[i].Key, pviews[i], sviews[i])
 		}
 	}
-	// Merged intermediates cover the serial materialization.
+	// Merged intermediates cover the serial materialization; the root
+	// join buffers on neither side.
 	interm := pt.MergedInterm()
 	for _, j := range stree.Joins {
 		m, ok := interm[j.Key]
+		if j.ResultBuf == nil {
+			if ok {
+				t.Errorf("interm %s merged, but the serial join kept no buffer", j.Key)
+			}
+			continue
+		}
 		if !ok || m.Len() != j.ResultBuf.Len() {
 			t.Errorf("interm %s = %v rows, serial %d", j.Key, m, j.ResultBuf.Len())
 		}
+	}
+	if len(interm) != len(stree.Joins)-1 {
+		t.Errorf("merged %d intermediates, want every non-root join (%d)", len(interm), len(stree.Joins)-1)
 	}
 	// Every partition worked on its own clock.
 	for p, ctx := range pt.Ctxs {

@@ -46,7 +46,7 @@ func (ex *executor) runPlanPartition() error {
 	matRows := state.NewList(matSchema)
 	// Tuples materialize in the subtree's own layout; matSchema only
 	// renames columns, so values pass through unchanged.
-	tree, err := Lower(ex.ctx, breakJoin, &listSink{ctx: ex.ctx, dst: matRows})
+	tree, err := Lower(ex.ctx, breakJoin, &listSink{ctx: ex.ctx, dst: matRows}, false)
 	if err != nil {
 		return err
 	}
@@ -133,13 +133,13 @@ func (ex *executor) runPlanPartition() error {
 		ex.announceSchema(out2)
 		sink = &collectSink{ctx: ex.ctx, ad: ad, dst: &ex.spjRows}
 	}
-	tree2, err := Lower(ex.ctx, res2.Root, sink)
+	tree2, err := Lower(ex.ctx, res2.Root, sink, false)
 	if err != nil {
 		return err
 	}
 	// Leaves: the materialized relation plus the remaining base sources.
 	matProvider := source.NewProvider(
-		source.NewRelation(matRelName, matSchema, matRows.Rows()), nil)
+		source.NewRelation(matRelName, matSchema, matRows.Flatten()), nil)
 	var leaves2 []*exec.Leaf
 	for _, rel := range q2.Relations {
 		entry, ok := tree2.Entry[rel.Name]

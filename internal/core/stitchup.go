@@ -13,15 +13,24 @@ import (
 // PhaseRecord is what a completed execution phase leaves behind for
 // stitch-up: the base-relation partitions routed to it and the
 // intermediate join results it materialized in state structures (§3.4.2).
+// State is kept only where a later reader exists: a Corrective phase
+// captures both (stitch-up may follow a switch), a phase of a maintained
+// run captures BaseParts (the maintenance stage seeds from them), and a
+// Static or PlanPartition phase captures neither.
 type PhaseRecord struct {
 	ID int
 	// Plan is the join tree the phase executed (display/diagnostics).
 	Plan algebra.Plan
 	// BaseParts maps relation name -> post-filter tuples this phase
-	// consumed (the R^i partitions of §2.3).
+	// consumed (the R^i partitions of §2.3); empty when not captured.
 	BaseParts map[string]*state.List
-	// Interm maps canonical expression key -> materialized join results.
+	// Interm maps canonical expression key -> materialized join results
+	// of the phase's non-root joins; empty when not captured.
 	Interm map[string]*state.List
+	// RootOut is the root join's output count, from its counters. The
+	// root never buffers (see TreeJoin.ResultBuf), so its output counts
+	// toward Discarded without being held.
+	RootOut int64
 }
 
 // StitchUp evaluates the cross-phase combination expression
@@ -262,8 +271,10 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// Discarded = intermediate tuples never reused.
+	// Discarded = intermediate tuples never reused, the root joins'
+	// unbuffered outputs included.
 	for _, ph := range s.phases {
+		s.Discarded += ph.RootOut
 		for _, l := range ph.Interm {
 			if !s.touched[l] {
 				s.Discarded += int64(l.Len())
@@ -273,13 +284,14 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 	return nil
 }
 
-// basePartition returns relation Order[0]'s phase-p partition rows.
+// basePartition returns relation Order[0]'s phase-p partition rows as the
+// flat slice a prefix result holds.
 func (s *StitchUp) basePartition(step, phase int) []types.Tuple {
 	part := s.phases[phase].BaseParts[s.Order[step]]
 	if part == nil {
 		return nil
 	}
-	return part.Rows()
+	return part.Flatten()
 }
 
 // prefixResult is the cached join of a vector prefix: its rows plus a

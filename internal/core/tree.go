@@ -25,7 +25,11 @@ type TreeJoin struct {
 	Preds []algebra.JoinPred
 	Node  *exec.HashJoin
 	// ResultBuf captures the join node's output (the materialized
-	// intermediate result registered for stitch-up reuse, §3.4.2).
+	// intermediate result registered for stitch-up reuse, §3.4.2). It is
+	// set only in trees lowered with keepInterm (corrective phases) and
+	// never on the root join: the root's output spans every relation, so
+	// reading it back would re-derive a uniform combination, which the
+	// phase itself already delivered and stitch-up excludes.
 	ResultBuf *state.List
 }
 
@@ -60,6 +64,10 @@ type Tree struct {
 	// lowering (see LowerPartitioned); it installs exchanges at partition
 	// boundaries during build.
 	par *parLowering
+	// keepInterm tees every non-root join's output into its ResultBuf;
+	// underJoin is build's walk state (an enclosing join exists).
+	keepInterm bool
+	underJoin  bool
 }
 
 // blockingPreAgg adapts an AggTable into a traditional (blocking)
@@ -77,14 +85,17 @@ func (b *blockingPreAgg) flush() {
 // delivering root tuples to out. Join nodes default to the pipelined
 // (data-availability-driven) style, the configuration all experiments use
 // ("most data integration systems almost exclusively rely on pipelined
-// hash joins", §3.4).
-func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink) (*Tree, error) {
+// hash joins", §3.4). keepInterm buffers every non-root join's output in
+// its ResultBuf for stitch-up reuse; only corrective phases, which may be
+// stitched up, ask for it.
+func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink, keepInterm bool) (*Tree, error) {
 	t := &Tree{
 		ctx:        ctx,
 		Entry:      map[string]func(types.Tuple){},
 		EntryBatch: map[string]func([]types.Tuple){},
 		EntryDelta: map[string]func(*types.ColBatch, int){},
 		RootSchema: plan.Schema(),
+		keepInterm: keepInterm,
 	}
 	if err := t.build(plan, out); err != nil {
 		return nil, err
@@ -94,11 +105,12 @@ func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink) (*Tree, error) {
 
 // teeSink duplicates a join's output into its materialization buffer
 // (stitch-up reuse, §3.4.2) while forwarding it downstream; batches are
-// forwarded as batches.
+// forwarded as batches. Only corrective phase trees tee, and they carry
+// unsigned traffic only: maintenance trees are lowered without buffers
+// and re-warm join state from the base logs instead.
 type teeSink struct {
 	buf *state.List
 	out exec.Sink
-	dfw exec.DeltaForward
 }
 
 // Push implements exec.Sink.
@@ -111,18 +123,6 @@ func (s *teeSink) Push(t types.Tuple) {
 func (s *teeSink) PushBatch(ts []types.Tuple) {
 	s.buf.InsertBatch(ts)
 	exec.PushAll(s.out, ts)
-}
-
-// PushDelta implements exec.DeltaSink: signed maintenance traffic
-// forwards downstream without touching the stitch-up buffer — a
-// maintenance rebuild always re-warms join state from the base logs
-// rather than reusing materialized intermediates, and signed rows have
-// no place in an unsigned buffer.
-func (s *teeSink) PushDelta(b *types.ColBatch, sign int) {
-	if b.Len() == 0 {
-		return
-	}
-	s.dfw.Forward(s.out, b, sign)
 }
 
 func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
@@ -158,8 +158,13 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		case algebra.JoinNestedLoops:
 			style = exec.NestedLoops
 		}
-		buf := state.NewList(v.Schema())
-		node := exec.NewHashJoin(t.ctx, style, v.Left.Schema(), v.Right.Schema(), lk, rk, &teeSink{buf: buf, out: out})
+		var buf *state.List
+		joinOut := out
+		if t.keepInterm && t.underJoin {
+			buf = state.NewList(v.Schema())
+			joinOut = &teeSink{buf: buf, out: out}
+		}
+		node := exec.NewHashJoin(t.ctx, style, v.Left.Schema(), v.Right.Schema(), lk, rk, joinOut)
 		if v.EstLeftCard > 0 || v.EstRightCard > 0 {
 			// Size fixed-bucket tables from the optimizer's estimates
 			// (wrong estimates surface as bucket collisions, §4.4). A
@@ -179,12 +184,15 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		if err != nil {
 			return err
 		}
+		outer := t.underJoin
+		t.underJoin = true
 		if err := t.build(v.Left, leftIn); err != nil {
 			return err
 		}
 		if err := t.build(v.Right, rightIn); err != nil {
 			return err
 		}
+		t.underJoin = outer
 		t.Joins = append(t.Joins, &TreeJoin{
 			Key:       v.Key(),
 			Rels:      v.Rels(),

@@ -36,7 +36,7 @@ func TestLowerSimpleJoin(t *testing.T) {
 	}
 	ctx := exec.NewContext()
 	var out []types.Tuple
-	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(tp types.Tuple) { out = append(out, tp) }))
+	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(tp types.Tuple) { out = append(out, tp) }), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +51,10 @@ func TestLowerSimpleJoin(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("outputs = %d, want 2", len(out))
 	}
-	// Intermediate results captured for stitch-up reuse.
+	// The root join never buffers its output (stitch-up cannot read it).
 	j := tree.Joins[0]
-	if j.ResultBuf.Len() != 2 {
-		t.Error("join result buffer not populated")
+	if j.ResultBuf != nil {
+		t.Error("root join buffered its output")
 	}
 	if j.Key != algebra.CanonKey([]string{"A", "B"}) {
 		t.Errorf("join key = %q", j.Key)
@@ -81,7 +81,7 @@ func TestLowerWindowedPreAgg(t *testing.T) {
 		t.Skipf("optimizer chose no pre-agg (leaf %q)", res.PreAggLeaf)
 	}
 	ctx := exec.NewContext()
-	tree, err := Lower(ctx, res.Root, exec.Discard)
+	tree, err := Lower(ctx, res.Root, exec.Discard, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLowerTraditionalPreAggBlocksUntilFinish(t *testing.T) {
 	}
 	ctx := exec.NewContext()
 	var out []types.Tuple
-	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(tp types.Tuple) { out = append(out, tp) }))
+	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(tp types.Tuple) { out = append(out, tp) }), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestLowerRejectsFinalGroupInsideTree(t *testing.T) {
 	scan := algebra.NewScan(q.Relations[0])
 	final := algebra.NewGroup(scan, []string{"A.k"}, q.Aggs)
 	ctx := exec.NewContext()
-	if _, err := Lower(ctx, final, exec.Discard); err == nil {
+	if _, err := Lower(ctx, final, exec.Discard, false); err == nil {
 		t.Error("final aggregation inside a phase tree must be rejected")
 	}
 }
@@ -150,7 +150,7 @@ func TestLowerProjectNode(t *testing.T) {
 	}
 	ctx := exec.NewContext()
 	var out []types.Tuple
-	tree, err := Lower(ctx, proj, exec.SinkFunc(func(tp types.Tuple) { out = append(out, tp) }))
+	tree, err := Lower(ctx, proj, exec.SinkFunc(func(tp types.Tuple) { out = append(out, tp) }), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestLowerDuplicateRelationRejected(t *testing.T) {
 	a := algebra.NewScan(q.Relations[0])
 	j := algebra.NewJoin(a, algebra.NewScan(q.Relations[0]), []algebra.JoinPred{q.Joins[0]})
 	ctx := exec.NewContext()
-	if _, err := Lower(ctx, j, exec.Discard); err == nil {
+	if _, err := Lower(ctx, j, exec.Discard, false); err == nil {
 		t.Error("duplicate relation in plan must be rejected")
 	}
 }
@@ -191,7 +191,7 @@ func TestTreeCollisionFactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := exec.NewContext()
-	tree, err := Lower(ctx, res.Root, exec.Discard)
+	tree, err := Lower(ctx, res.Root, exec.Discard, false)
 	if err != nil {
 		t.Fatal(err)
 	}

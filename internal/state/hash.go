@@ -26,7 +26,8 @@ type HashTable struct {
 	// Fixed prevents bucket-array growth (reproduces mis-estimated
 	// allocation collisions).
 	Fixed bool
-	// spill bookkeeping: partitions are bucket-index ranges.
+	// spill bookkeeping: partitions are bucket-index ranges; the set is
+	// created by the first SpillPartitions and is nil while none spilled.
 	spilledParts map[int]bool
 	partCount    int
 	// DiskReads counts probes that touched a spilled partition
@@ -37,13 +38,7 @@ type HashTable struct {
 // NewHashTable creates a hash table keyed on keyCols over the layout
 // schema.
 func NewHashTable(schema *types.Schema, keyCols []int) *HashTable {
-	return &HashTable{
-		schema:       schema,
-		keyCols:      keyCols,
-		buckets:      make([][]types.Tuple, defaultBuckets),
-		spilledParts: make(map[int]bool),
-		partCount:    16,
-	}
+	return NewHashTableSized(schema, keyCols, defaultBuckets)
 }
 
 // NewHashTableSized creates a hash table with an explicit bucket count
@@ -52,9 +47,12 @@ func NewHashTableSized(schema *types.Schema, keyCols []int, nbuckets int) *HashT
 	if nbuckets < 1 {
 		nbuckets = 1
 	}
-	h := NewHashTable(schema, keyCols)
-	h.buckets = make([][]types.Tuple, ceilPow2(nbuckets))
-	return h
+	return &HashTable{
+		schema:    schema,
+		keyCols:   keyCols,
+		buckets:   make([][]types.Tuple, ceilPow2(nbuckets)),
+		partCount: 16,
+	}
 }
 
 func ceilPow2(n int) int {
@@ -267,6 +265,9 @@ func (h *HashTable) isSpilled(bucket int) bool {
 // should be spilled with identical fractions so overflowed regions align.
 func (h *HashTable) SpillPartitions(frac float64) int {
 	n := int(float64(h.partCount) * frac)
+	if n > 0 && h.spilledParts == nil {
+		h.spilledParts = make(map[int]bool, n)
+	}
 	for p := 0; p < n; p++ {
 		h.spilledParts[p] = true
 	}
@@ -286,7 +287,7 @@ func (h *HashTable) SpilledFraction() float64 {
 // UnspillAll brings every partition back in memory (stitch-up reads
 // overflowed regions back).
 func (h *HashTable) UnspillAll() {
-	h.spilledParts = make(map[int]bool)
+	h.spilledParts = nil
 }
 
 // HashOverSorted is a hash table over key-sorted data: each bucket keeps

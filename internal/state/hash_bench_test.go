@@ -44,3 +44,24 @@ func BenchmarkHashTableInsert(b *testing.B) {
 		h.Insert(types.Tuple{types.Int(int64(i)), types.Int(int64(i))})
 	}
 }
+
+// BenchmarkListInsertBatch tracks the capture hot path (leaf partitions
+// and join-output tees): 256-tuple batches appended to one growing list.
+// Segments are never reallocated, so the steady state allocates one
+// segment per maxListSegment tuples and nothing per batch. The list is
+// replaced every 64k tuples to keep the benchmark's memory bounded.
+func BenchmarkListInsertBatch(b *testing.B) {
+	batch := make([]types.Tuple, 256)
+	for i := range batch {
+		batch[i] = row(int64(i), "v")
+	}
+	l := NewList(sch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if l.Len() >= 1<<16 {
+			l = NewList(sch)
+		}
+		l.InsertBatch(batch)
+	}
+}

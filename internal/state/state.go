@@ -63,31 +63,81 @@ type HashedProber interface {
 }
 
 // List is the simplest structure: an insertion-ordered tuple buffer with
-// no key access (nested-loops inners, combine buffers).
+// no key access (nested-loops inners, stitch-up capture). It is
+// append-only and segmented: tuples live in segments that are never
+// reallocated, so growth copies no tuple and leaves no regrowth garbage
+// behind. A new segment holds as many tuples as the list already does,
+// between minListSegment and maxListSegment, so a short list wastes at
+// most its own length in spare capacity and a long one at most one
+// segment.
 type List struct {
 	schema *types.Schema
-	rows   []types.Tuple
+	segs   [][]types.Tuple
+	n      int
 }
+
+const (
+	minListSegment = 32
+	maxListSegment = 1024
+)
 
 // NewList creates an empty list over the given layout.
 func NewList(schema *types.Schema) *List { return &List{schema: schema} }
 
+// tail returns the segment with spare capacity, adding one when the last
+// is full.
+func (l *List) tail() *[]types.Tuple {
+	if k := len(l.segs); k > 0 && len(l.segs[k-1]) < cap(l.segs[k-1]) {
+		return &l.segs[k-1]
+	}
+	l.segs = append(l.segs, make([]types.Tuple, 0, min(max(l.n, minListSegment), maxListSegment)))
+	return &l.segs[len(l.segs)-1]
+}
+
 // Insert implements Structure.
-func (l *List) Insert(t types.Tuple) { l.rows = append(l.rows, t) }
+func (l *List) Insert(t types.Tuple) {
+	seg := l.tail()
+	*seg = append(*seg, t)
+	l.n++
+}
 
 // InsertBatch bulk-appends a batch of tuples — the vectorized counterpart
 // of Insert used by batched sinks (leaf partition capture, join-result
 // tees). Only the tuples are retained, never the batch slice itself.
-func (l *List) InsertBatch(ts []types.Tuple) { l.rows = append(l.rows, ts...) }
+//
+//adp:hotpath gated by BenchmarkListInsertBatch (scripts/check_allocs.sh)
+func (l *List) InsertBatch(ts []types.Tuple) {
+	for len(ts) > 0 {
+		seg := l.tail()
+		k := copy((*seg)[len(*seg):cap(*seg)], ts)
+		*seg = (*seg)[:len(*seg)+k]
+		l.n += k
+		ts = ts[k:]
+	}
+}
+
+// AppendList appends o's tuples to l by sharing o's segments; no tuple is
+// copied. The shared segments are clipped to their length, so later
+// appends to either list never write into the other's storage.
+func (l *List) AppendList(o *List) {
+	for _, seg := range o.segs {
+		if len(seg) > 0 {
+			l.segs = append(l.segs, seg[:len(seg):len(seg)])
+		}
+	}
+	l.n += o.n
+}
 
 // Len implements Structure.
-func (l *List) Len() int { return len(l.rows) }
+func (l *List) Len() int { return l.n }
 
 // Scan implements Structure.
 func (l *List) Scan(fn func(types.Tuple) bool) {
-	for _, t := range l.rows {
-		if !fn(t) {
-			return
+	for _, seg := range l.segs {
+		for _, t := range seg {
+			if !fn(t) {
+				return
+			}
 		}
 	}
 }
@@ -98,8 +148,22 @@ func (l *List) Properties() Properties { return Properties{} }
 // Schema implements Structure.
 func (l *List) Schema() *types.Schema { return l.schema }
 
-// Rows exposes the backing slice (read-only use).
-func (l *List) Rows() []types.Tuple { return l.rows }
+// Flatten returns the tuples as one slice, for read-only use by consumers
+// that need a flat []Tuple. A list held in one segment is returned without
+// copying; a longer one is copied once into an exactly sized slice.
+func (l *List) Flatten() []types.Tuple {
+	switch len(l.segs) {
+	case 0:
+		return nil
+	case 1:
+		return l.segs[0][:l.n:l.n]
+	}
+	out := make([]types.Tuple, 0, l.n)
+	for _, seg := range l.segs {
+		out = append(out, seg...)
+	}
+	return out
+}
 
 // SortedList keeps tuples ordered by a key, supporting binary-search
 // probes and ordered scans. Inserts of already-ordered input are O(1)

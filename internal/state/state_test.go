@@ -39,7 +39,7 @@ func TestListBasics(t *testing.T) {
 	l := NewList(sch)
 	l.Insert(row(2, "b"))
 	l.Insert(row(1, "a"))
-	if l.Len() != 2 || len(l.Rows()) != 2 {
+	if l.Len() != 2 || len(l.Flatten()) != 2 {
 		t.Fatalf("Len = %d", l.Len())
 	}
 	got := collect(l)
@@ -57,6 +57,85 @@ func TestListBasics(t *testing.T) {
 	l.Scan(func(types.Tuple) bool { n++; return false })
 	if n != 1 {
 		t.Error("Scan ignored early stop")
+	}
+}
+
+// TestListSegments pins the segmented layout: insertion order survives
+// mixed tuple and batch appends across segment boundaries, segments ramp
+// from minListSegment to maxListSegment and are never reallocated, and
+// Flatten returns every tuple once.
+func TestListSegments(t *testing.T) {
+	l := NewList(sch)
+	const n = 5000
+	batch := make([]types.Tuple, 0, 300)
+	for i := 0; i < n; {
+		if i%7 == 0 {
+			l.Insert(row(int64(i), "t"))
+			i++
+			continue
+		}
+		batch = batch[:0]
+		for k := 0; k < 300 && i < n; k++ {
+			batch = append(batch, row(int64(i), "b"))
+			i++
+		}
+		first := l.segs
+		l.InsertBatch(batch)
+		for k := range first {
+			if cap(first[k]) != cap(l.segs[k]) || (len(first[k]) > 0 && &first[k][0] != &l.segs[k][0]) {
+				t.Fatalf("segment %d reallocated", k)
+			}
+		}
+	}
+	if l.Len() != n {
+		t.Fatalf("Len = %d, want %d", l.Len(), n)
+	}
+	if got := cap(l.segs[0]); got != minListSegment {
+		t.Errorf("first segment cap = %d, want %d", got, minListSegment)
+	}
+	for k, seg := range l.segs {
+		if cap(seg) > maxListSegment {
+			t.Errorf("segment %d cap %d exceeds %d", k, cap(seg), maxListSegment)
+		}
+	}
+	for i, tp := range collect(l) {
+		if tp[0].I != int64(i) {
+			t.Fatalf("scan position %d holds %d", i, tp[0].I)
+		}
+	}
+	flat := l.Flatten()
+	if len(flat) != n || flat[n-1][0].I != n-1 {
+		t.Fatalf("Flatten = %d rows", len(flat))
+	}
+}
+
+// TestListAppendListShares pins AppendList: the receiver adopts the
+// source's segments without copying tuples, and later appends to either
+// list stay invisible to the other.
+func TestListAppendListShares(t *testing.T) {
+	a, b := NewList(sch), NewList(sch)
+	for i := 0; i < 40; i++ {
+		b.Insert(row(int64(i), "b"))
+	}
+	a.Insert(row(-1, "a"))
+	a.AppendList(b)
+	if a.Len() != 41 {
+		t.Fatalf("Len = %d, want 41", a.Len())
+	}
+	if &a.segs[1][0] != &b.segs[0][0] {
+		t.Error("AppendList copied the source's first segment")
+	}
+	a.Insert(row(100, "a"))
+	b.Insert(row(200, "b"))
+	got := collect(a)
+	if len(got) != 42 || got[0][0].I != -1 || got[40][0].I != 39 || got[41][0].I != 100 {
+		t.Errorf("receiver after appends = %v", got)
+	}
+	if gb := collect(b); len(gb) != 41 || gb[40][0].I != 200 {
+		t.Errorf("source after appends = %v", gb)
+	}
+	if empty := NewList(sch); empty.Flatten() != nil || empty.Len() != 0 {
+		t.Error("empty list should flatten to nil")
 	}
 }
 

@@ -37,6 +37,7 @@ check() {
 # Pinned budgets (see ROADMAP.md / PR history). An op in the push
 # benchmarks delivers one tuple per side.
 check 'BenchmarkHashTableProbe'                  0  # both probe variants: allocation-free
+check 'BenchmarkListInsertBatch'                 1  # stitch-up capture append: one segment per 1024 tuples (1 = headroom)
 check 'BenchmarkPipelinedJoinPush/batch(-[0-9]+)?$'    2  # PR 1 headline: batched push <= 2 allocs/op
 check 'BenchmarkPipelinedJoinPush/batch-wide'    2  # PR 9: wide-schema row baseline
 check 'BenchmarkHashKeys'                        0  # PR 3: vectorized hash kernel reuse path
