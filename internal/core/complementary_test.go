@@ -1,8 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/tukwila/adp/internal/exec"
@@ -297,6 +302,59 @@ func TestComplementaryBatchMatchesTupleAtATime(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// compPinCase renders one complementary-join case: routing and output
+// statistics, both clocks as %.17g, and the output rows in delivery
+// order as a count and a SHA-256 of their rendering.
+func compPinCase(name string, clk *exec.Clock, rows []types.Tuple, st CompJoinStats) string {
+	h := sha256.New()
+	for _, r := range rows {
+		fmt.Fprintf(h, "%v\n", r)
+	}
+	return fmt.Sprintf("case %s\nstats %+v\nclocks now=%s cpu=%s\nrows %d sha256=%x\n",
+		name, st, g17(clk.Now), g17(clk.CPU), len(rows), h.Sum(nil))
+}
+
+// TestComplementaryPinned feeds the batched router across reorder
+// fractions, both router configurations, and several chunk sizes, and
+// holds it to the pin captured from tuple-at-a-time routing before that
+// path was removed: identical output sequence (ordered delivery) and
+// routing statistics, and clocks equal up to float summation order.
+func TestComplementaryPinned(t *testing.T) {
+	keys, fks := mkSortedFK(300, 3)
+	var sb strings.Builder
+	for _, frac := range []float64{0, 0.02, 0.3, 1.0} {
+		for _, pq := range []int{0, 64, DefaultPQCap} {
+			for _, chunk := range []int{1, 17, 64} {
+				ctx := exec.NewContext()
+				out := &batchRowSink{}
+				cj := NewComplementaryJoin(ctx, lSchema, oSchema, []int{0}, []int{0}, pq, out)
+				feedPair(cj, reorder(fks, frac, 21), reorder(keys, frac, 22), chunk, true)
+				sb.WriteString(compPinCase(fmt.Sprintf("frac=%g pq=%d chunk=%d", frac, pq, chunk), ctx.Clock, out.rows, cj.Stats))
+			}
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "pins", "complementary.pin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(sb.String(), "\n"), strings.Split(string(raw), "\n")
+	if len(gl) != len(wl) {
+		t.Fatalf("%d lines, pin %d", len(gl), len(wl))
+	}
+	for i := range gl {
+		if gl[i] == wl[i] {
+			continue
+		}
+		var gn, gc, wn, wc float64
+		_, gerr := fmt.Sscanf(gl[i], "clocks now=%g cpu=%g", &gn, &gc)
+		_, werr := fmt.Sscanf(wl[i], "clocks now=%g cpu=%g", &wn, &wc)
+		if gerr == nil && werr == nil && relClose(gn, wn, 1e-9) && relClose(gc, wc, 1e-9) {
+			continue
+		}
+		t.Fatalf("diverges from the pin at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
 	}
 }
 

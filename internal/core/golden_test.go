@@ -15,6 +15,7 @@ import (
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/datagen"
+	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/types"
 	"github.com/tukwila/adp/internal/workload"
@@ -273,24 +274,50 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".golden")
 }
 
+// goldenPreAggs are the pre-aggregation modes the aggregate workload
+// queries are pinned under (Figure 6), by golden-file name.
+var goldenPreAggs = []struct {
+	name string
+	mode opt.PreAggMode
+}{
+	{"windowed", opt.PreAggWindowed},
+	{"traditional", opt.PreAggTraditional},
+}
+
+// goldenRun executes one golden case and hands its rendering to check.
+func goldenRun(t *testing.T, name string, gq goldenQuery, o Options, check func(t *testing.T, name, got string, parts int)) {
+	t.Run(name, func(t *testing.T) {
+		var events []Event
+		rep, err := RunStream(context.Background(), gq.catalog(), gq.q(), o, RunHooks{
+			Emit: func(ev Event) { events = append(events, ev) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, name, renderGolden(rep, events, o.Partitions), o.Partitions)
+	})
+}
+
 // goldenRuns executes every golden case and hands its rendering to check.
 func goldenRuns(t *testing.T, check func(t *testing.T, name, got string, parts int)) {
 	for _, gq := range goldenQueries() {
 		for _, strat := range []Strategy{Static, Corrective, PlanPartition} {
 			for _, parts := range []int{1, 4} {
-				name := fmt.Sprintf("%s-%v-P%d", gq.name, strat, parts)
-				t.Run(name, func(t *testing.T) {
+				o := gq.opts
+				o.Strategy, o.Partitions = strat, parts
+				goldenRun(t, fmt.Sprintf("%s-%v-P%d", gq.name, strat, parts), gq, o, check)
+			}
+		}
+		if gq.name != "Q3A" && gq.name != "Q10A" {
+			continue
+		}
+		for _, pa := range goldenPreAggs {
+			for _, strat := range []Strategy{Static, Corrective} {
+				for _, parts := range []int{1, 4} {
 					o := gq.opts
-					o.Strategy, o.Partitions = strat, parts
-					var events []Event
-					rep, err := RunStream(context.Background(), gq.catalog(), gq.q(), o, RunHooks{
-						Emit: func(ev Event) { events = append(events, ev) },
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					check(t, name, renderGolden(rep, events, parts), parts)
-				})
+					o.Strategy, o.Partitions, o.PreAgg = strat, parts, pa.mode
+					goldenRun(t, fmt.Sprintf("%s-%s-%v-P%d", gq.name, pa.name, strat, parts), gq, o, check)
+				}
 			}
 		}
 	}
@@ -313,7 +340,8 @@ func goldenRuns(t *testing.T, check func(t *testing.T, name, got string, parts i
 }
 
 // TestExecutionGoldens pins every strategy × P∈{1,4} × fixture query,
-// plus one standing-query fold, to the committed goldens.
+// the aggregate workload queries under windowed and traditional
+// pre-aggregation, and one standing-query fold to the committed goldens.
 func TestExecutionGoldens(t *testing.T) {
 	goldenRuns(t, func(t *testing.T, name, got string, parts int) {
 		compareGolden(t, goldenPath(name), got, parts)
