@@ -16,10 +16,10 @@ import (
 var hostFields = regexp.MustCompile(`\s*(wall|speedup|gomaxprocs)=\S+`)
 
 // removedSettings matches golden rows of ablation settings that no
-// longer exist: the batch-layout sweeps lost their columnar setting when
-// the unsigned columnar pipeline was removed. Every other golden row must
-// still be reproduced exactly.
-var removedSettings = regexp.MustCompile(`^batch-layout(-wide)? +columnar `)
+// longer exist: the batch-layout sweeps compared delivery layouts, and
+// with row batches the only layout left they were removed. Every other
+// golden row must still be reproduced exactly.
+var removedSettings = regexp.MustCompile(`^batch-layout(-wide)? `)
 
 // withoutRemovedSettings drops the rows of removed ablation settings.
 func withoutRemovedSettings(s string) string {

@@ -117,22 +117,21 @@
 //
 // # Batched push execution
 //
-// The execution engine is vectorized end to end: every hot-path operator
-// implements BatchSink (PushBatch([]Tuple)) in addition to the
-// tuple-at-a-time Sink — HashJoin and MergeJoin (both inputs, via
-// LeftSink/RightSink), the ComplementaryJoin router (which groups
-// consecutive same-destination tuples into sub-batches for its merge and
-// hash components and batches the mini stitch-up's emits), Filter,
-// Project, Combine, Queue, AggTable, Pseudogroup, and WindowPreAgg; the
-// corrective stitch-up phase likewise delivers each combination's result
-// vector downstream in one call. The source driver groups consecutive
+// The execution engine is vectorized end to end: Sink has one method,
+// PushBatch([]Tuple), and every operator speaks it — HashJoin and
+// MergeJoin (both inputs, via LeftSink/RightSink or PushLeftBatch/
+// PushRightBatch), the ComplementaryJoin router (which groups consecutive
+// same-destination tuples into sub-batches for its merge and hash
+// components and batches the mini stitch-up's emits), Filter, Project,
+// Combine, Queue, AggTable, Pseudogroup, and WindowPreAgg; the corrective
+// stitch-up phase likewise delivers each combination's result vector
+// downstream in one call. The source driver groups consecutive
 // already-available tuples from the same source into batches, and each
-// lowered plan forwards batches end to end (operators without a batch
-// path degrade transparently to per-tuple Push). Batching is purely an
-// execution-efficiency layer: delivery order, operator counters, and
-// virtual-clock accounting are identical to tuple-at-a-time execution —
-// pinned by batch-vs-tuple equivalence tests with byte-identical output
-// order.
+// lowered plan forwards batches end to end. To push a single tuple, push
+// a one-row batch. Operators charge the virtual clock per tuple, so
+// delivery order and operator counters do not depend on batch boundaries
+// and virtual clocks agree up to the order in which charges are summed;
+// committed goldens pin all three.
 //
 // Within a batch the engine is allocation-free at steady state: join keys
 // are hashed once and shared between build-insert and probe

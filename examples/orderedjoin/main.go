@@ -42,18 +42,8 @@ func runHash(li, ord *adp.Relation, lKey, oKey []int) float64 {
 	ctx := adp.NewExecContext()
 	n := 0
 	j := adp.NewHashJoin(ctx, adp.JoinPipelined, li.Schema, ord.Schema, lKey, oKey,
-		adp.SinkFunc(func(adp.Tuple) { n++ }))
-	i, k := 0, 0
-	for i < len(li.Rows) || k < len(ord.Rows) {
-		if i < len(li.Rows) {
-			j.PushLeft(li.Rows[i])
-			i++
-		}
-		if k < len(ord.Rows) {
-			j.PushRight(ord.Rows[k])
-			k++
-		}
-	}
+		adp.SinkFunc(func(ts []adp.Tuple) { n += len(ts) }))
+	interleave(li, ord, j.PushLeftBatch, j.PushRightBatch)
 	j.FinishLeft()
 	j.FinishRight()
 	if n != len(li.Rows) {
@@ -66,21 +56,27 @@ func runPair(li, ord *adp.Relation, lKey, oKey []int, pqCap int) (float64, adp.C
 	ctx := adp.NewExecContext()
 	n := 0
 	cj := adp.NewComplementaryJoin(ctx, li.Schema, ord.Schema, lKey, oKey, pqCap,
-		adp.SinkFunc(func(adp.Tuple) { n++ }))
-	i, k := 0, 0
-	for i < len(li.Rows) || k < len(ord.Rows) {
-		if i < len(li.Rows) {
-			cj.PushLeft(li.Rows[i])
-			i++
-		}
-		if k < len(ord.Rows) {
-			cj.PushRight(ord.Rows[k])
-			k++
-		}
-	}
+		adp.SinkFunc(func(ts []adp.Tuple) { n += len(ts) }))
+	interleave(li, ord, cj.PushLeftBatch, cj.PushRightBatch)
 	cj.Finish()
 	if n != len(li.Rows) {
 		log.Fatalf("join produced %d rows, want %d", n, len(li.Rows))
 	}
 	return ctx.Clock.Now, *cj
+}
+
+// interleave feeds the two inputs alternately, one row from each side at
+// a time, as one-row batches through a reused slice.
+func interleave(li, ord *adp.Relation, left, right func([]adp.Tuple)) {
+	one := make([]adp.Tuple, 1)
+	for i := 0; i < len(li.Rows) || i < len(ord.Rows); i++ {
+		if i < len(li.Rows) {
+			one[0] = li.Rows[i]
+			left(one)
+		}
+		if i < len(ord.Rows) {
+			one[0] = ord.Rows[i]
+			right(one)
+		}
+	}
 }

@@ -14,7 +14,7 @@ import (
 // without sorting, because map order would leak into row order, event
 // order, or fingerprint bytes.
 var emitSeedNames = map[string]bool{
-	// Sink protocol (exec.Sink / BatchSink).
+	// Sink protocol (exec.Sink) and per-row emitters.
 	"Push": true, "PushBatch": true,
 	// Event and row emission in core/engine.
 	"emit": true, "Emit": true, "EmitFinal": true, "flushRows": true,

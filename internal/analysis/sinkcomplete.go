@@ -4,48 +4,20 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
-	"go/types"
 )
 
-// SinkCompleteAnalyzer enforces the fallback-chain contract of the sink
-// protocol: the driver downgrades delivery dynamically (row batch → row),
-// so a type that advertises the row-batch entry must also carry the row
-// entry — otherwise a plan shape that happens to trigger the fallback
-// panics at runtime. Concretely, a named type with a PushBatch method
-// must also have Push.
-//
-// It also checks that every PushBatch body tolerates empty input: the
-// drivers flush zero-length runs at phase and fault boundaries, so
-// indexing the batch with a constant before a length guard is a latent
-// panic.
+// SinkCompleteAnalyzer checks that every PushBatch body tolerates empty
+// input: the drivers flush zero-length runs at phase and fault
+// boundaries, so indexing the batch with a constant before a length guard
+// is a latent panic. (exec.Sink has the one method PushBatch, so the
+// compiler already enforces that a sink implements the whole protocol.)
 var SinkCompleteAnalyzer = &Analyzer{
 	Name: "sinkcomplete",
-	Doc:  "sink types must implement the full fallback chain and tolerate empty batches",
+	Doc:  "sink PushBatch entries must tolerate empty batches",
 	Run:  runSinkComplete,
 }
 
 func runSinkComplete(pass *Pass) error {
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		if _, isIface := named.Underlying().(*types.Interface); isIface {
-			// Interfaces state requirements; the contract binds the
-			// concrete implementations (exec.BatchSink itself embeds
-			// Sink already).
-			continue
-		}
-		ms := types.NewMethodSet(types.NewPointer(named))
-		if hasExportedMethod(ms, "PushBatch") && !hasExportedMethod(ms, "Push") {
-			pass.Reportf(tn.Pos(), "%s implements PushBatch but not Push; the driver downgrades delivery dynamically", name)
-		}
-	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -58,18 +30,6 @@ func runSinkComplete(pass *Pass) error {
 		}
 	}
 	return nil
-}
-
-// hasExportedMethod double-checks a method set lookup across package
-// boundaries: MethodSet.Lookup is package-scoped for unexported names,
-// and the sink protocol's methods are all exported, so scan directly.
-func hasExportedMethod(ms *types.MethodSet, name string) bool {
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == name {
-			return true
-		}
-	}
-	return false
 }
 
 // checkEmptyTolerant flags constant-index access to the batch parameter

@@ -1,29 +1,17 @@
-// Corpus for the sinkcomplete analyzer: the sink fallback-chain
-// contract (PushBatch ⇒ Push) and empty-batch tolerance of PushBatch
-// entries.
+// Corpus for the sinkcomplete analyzer: empty-batch tolerance of
+// PushBatch entries.
 package sinkcomplete
 
 type Tuple []int
 
-// full implements the whole chain: true negative.
-type full struct{ rows int }
+// counter never indexes the batch: true negative.
+type counter struct{ rows int }
 
-func (f *full) Push(t Tuple) { f.rows++ }
-func (f *full) PushBatch(ts []Tuple) {
-	for range ts {
-		f.rows++
-	}
-}
-
-// batchOnly has the row-batch entry but no per-row fallback.
-type batchOnly struct{} // want `batchOnly implements PushBatch but not Push`
-
-func (batchOnly) PushBatch(ts []Tuple) {}
+func (c *counter) PushBatch(ts []Tuple) { c.rows += len(ts) }
 
 // headPeek indexes the batch before checking emptiness.
 type headPeek struct{ last Tuple }
 
-func (h *headPeek) Push(t Tuple) { h.last = t }
 func (h *headPeek) PushBatch(ts []Tuple) {
 	h.last = ts[0] // want `PushBatch indexes its batch parameter before any length guard`
 }
@@ -31,7 +19,6 @@ func (h *headPeek) PushBatch(ts []Tuple) {
 // guarded checks first: true negative.
 type guarded struct{ last Tuple }
 
-func (g *guarded) Push(t Tuple) { g.last = t }
 func (g *guarded) PushBatch(ts []Tuple) {
 	if len(ts) == 0 {
 		return
@@ -42,7 +29,6 @@ func (g *guarded) PushBatch(ts []Tuple) {
 // looper indexes only with the loop variable: inherently bounded.
 type looper struct{ sum int }
 
-func (l *looper) Push(t Tuple) {}
 func (l *looper) PushBatch(ts []Tuple) {
 	for i := range ts {
 		l.sum += len(ts[i])

@@ -155,8 +155,7 @@ func TestLowerKeepIntermBuffersNonRootJoins(t *testing.T) {
 		for _, r := range rels {
 			leaves = append(leaves, &exec.Leaf{
 				Provider:  source.NewProvider(r.Clone(), nil),
-				Push:      tree.Entry[r.Name],
-				PushBatch: tree.EntryBatch[r.Name],
+				PushBatch: tree.Entry[r.Name],
 			})
 		}
 		exec.NewDriver(tree.ctx, leaves...).Run(0, nil)

@@ -657,7 +657,7 @@ func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Pl
 		if !ok {
 			return false, nil, fmt.Errorf("core: plan is missing relation %q", rel.Name)
 		}
-		leaf, err := ex.wireLeaf(rec, rel, phasePassed, entry, tree.EntryBatch[rel.Name])
+		leaf, err := ex.wireLeaf(rec, rel, phasePassed, entry)
 		if err != nil {
 			return false, nil, err
 		}
@@ -755,7 +755,7 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 	var leaves []*exec.Leaf
 	for i, rel := range ex.q.Relations {
 		scatter := pd.LeafScatter(i, pt.LeafKeys[rel.Name])
-		leaf, err := ex.wireLeaf(rec, rel, phasePassed, scatter.Push, scatter.PushBatch)
+		leaf, err := ex.wireLeaf(rec, rel, phasePassed, scatter.PushBatch)
 		if err != nil {
 			return false, nil, err
 		}
@@ -845,10 +845,9 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 
 // wireLeaf builds one phase leaf — filter pushdown, base-partition
 // capture into rec (when ex.keepBase), phasePassed counting, optional
-// instrumentation — delivering post-filter tuples to push/pushBatch (the
-// plan entry in a serial phase, the partition scatter in a parallel one).
-// pushBatch may be nil when the target has no batch entry.
-func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed map[string]float64, push func(types.Tuple), pushBatch func([]types.Tuple)) (*exec.Leaf, error) {
+// instrumentation — delivering post-filter batches to push (the plan
+// entry in a serial phase, the partition scatter in a parallel one).
+func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed map[string]float64, push func([]types.Tuple)) (*exec.Leaf, error) {
 	var part *state.List
 	if ex.keepBase {
 		part = state.NewList(rel.Schema)
@@ -866,22 +865,13 @@ func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed m
 	leaf := &exec.Leaf{
 		Provider: ex.cat.Providers[name],
 		Pred:     pred,
-		Push: func(t types.Tuple) {
-			if part != nil {
-				part.Insert(t)
-			}
-			phasePassed[name]++
-			push(t)
-		},
-	}
-	if pushBatch != nil {
-		leaf.PushBatch = func(ts []types.Tuple) {
+		PushBatch: func(ts []types.Tuple) {
 			if part != nil {
 				part.InsertBatch(ts)
 			}
 			phasePassed[name] += float64(len(ts))
-			pushBatch(ts)
-		}
+			push(ts)
+		},
 	}
 	if ex.o.Instrument {
 		leaf.OnTuple = ex.instrumentFor(rel)

@@ -348,7 +348,6 @@ func (mt *maintainer) pump() error {
 		leaf := &exec.Leaf{
 			Provider:  dp,
 			Pred:      pred,
-			Push:      g.push,
 			PushBatch: g.pushBatch,
 		}
 		mt.leaves = append(mt.leaves, leaf)
@@ -525,12 +524,6 @@ type deltaIngress struct {
 	cur   int8
 }
 
-// push is the leaf's row entry.
-func (g *deltaIngress) push(t types.Tuple) {
-	g.row(t)
-	g.flush()
-}
-
 // pushBatch is the leaf's batch entry. The tuples are the provider's
 // own stable storage (like the initial run's BaseParts capture), so the
 // log and the join tables may retain them without copying.
@@ -616,14 +609,7 @@ func (r *maintRoot) PushDelta(b *types.ColBatch, sign int) {
 	}
 }
 
-// Push implements exec.Sink.
-func (r *maintRoot) Push(t types.Tuple) {
-	one := types.NewColBatch(len(t))
-	one.AppendRow(t)
-	r.PushDelta(one, 1)
-}
-
-// PushBatch implements exec.BatchSink.
+// PushBatch implements exec.Sink.
 func (r *maintRoot) PushBatch(ts []types.Tuple) {
 	if len(ts) == 0 {
 		return

@@ -87,7 +87,7 @@ func (pl *parLowering) sink(child algebra.Plan, keyCols []int, down exec.Sink) (
 	pt, p := pl.pt, pl.p
 	return exec.NewExchange(pt.P, keyCols, func(dst int, rows []types.Tuple) {
 		if dst == p {
-			exec.PushAll(down, rows)
+			down.PushBatch(rows)
 			return
 		}
 		pt.send(p, dst, pt.entryOffset+id, rows)
@@ -113,8 +113,7 @@ func LowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge 
 		}
 		t := &Tree{
 			ctx:        ctx,
-			Entry:      map[string]func(types.Tuple){},
-			EntryBatch: map[string]func([]types.Tuple){},
+			Entry:      map[string]func([]types.Tuple){},
 			RootSchema: plan.Schema(),
 			par:        &parLowering{pt: pt, p: p},
 			keepInterm: keepInterm,
@@ -165,23 +164,14 @@ func (pt *ParTree) Handlers(rels []string) ([][]func([]types.Tuple), error) {
 	for p := 0; p < pt.P; p++ {
 		hs := make([]func([]types.Tuple), 0, len(rels)+pt.boundaries)
 		for _, r := range rels {
-			if eb, ok := pt.Trees[p].EntryBatch[r]; ok {
-				hs = append(hs, eb)
-				continue
-			}
 			entry, ok := pt.Trees[p].Entry[r]
 			if !ok {
 				return nil, fmt.Errorf("core: plan is missing relation %q", r)
 			}
-			hs = append(hs, func(ts []types.Tuple) {
-				for _, t := range ts {
-					entry(t)
-				}
-			})
+			hs = append(hs, entry)
 		}
 		for b := 0; b < pt.boundaries; b++ {
-			sink := pt.entrySinks[p][b]
-			hs = append(hs, func(ts []types.Tuple) { exec.PushAll(sink, ts) })
+			hs = append(hs, pt.entrySinks[p][b].PushBatch)
 		}
 		out[p] = hs
 	}

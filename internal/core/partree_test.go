@@ -188,7 +188,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	// Serial reference.
 	sctx := exec.NewContext()
 	var srows []types.Tuple
-	stree, err := Lower(sctx, root, exec.SinkFunc(func(tp types.Tuple) { srows = append(srows, tp) }), true)
+	stree, err := Lower(sctx, root, exec.SinkFunc(func(ts []types.Tuple) { srows = append(srows, ts...) }), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +196,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	for _, rel := range q.Relations {
 		sleaves = append(sleaves, &exec.Leaf{
 			Provider:  source.NewProvider(rels[rel.Name], nil),
-			Push:      stree.Entry[rel.Name],
-			PushBatch: stree.EntryBatch[rel.Name],
+			PushBatch: stree.Entry[rel.Name],
 		})
 	}
 	exec.NewDriver(sctx, sleaves...).Run(0, nil)
@@ -226,7 +225,6 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 		sc := pd.LeafScatter(i, pt.LeafKeys[rel.Name])
 		pleaves = append(pleaves, &exec.Leaf{
 			Provider:  source.NewProvider(rels[rel.Name], nil),
-			Push:      sc.Push,
 			PushBatch: sc.PushBatch,
 		})
 	}
@@ -236,7 +234,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	pd.Finish()
 	pd.Close()
 	var prows []types.Tuple
-	merge.Drain(exec.SinkFunc(func(tp types.Tuple) { prows = append(prows, tp) }))
+	merge.Drain(exec.SinkFunc(func(ts []types.Tuple) { prows = append(prows, ts...) }))
 
 	// Root output multisets coincide.
 	ss, ps := sortedStrings(srows), sortedStrings(prows)

@@ -162,7 +162,7 @@ func (ex *executor) runPlanPartition() error {
 		}
 		leaves2 = append(leaves2, &exec.Leaf{
 			Provider: provider, Pred: pred,
-			Push: entry, PushBatch: tree2.EntryBatch[rel.Name],
+			PushBatch: entry,
 		})
 	}
 	t0 := ex.ctx.Clock.Now
@@ -216,7 +216,7 @@ func (ex *executor) wireLeaves(tree *Tree, covered map[string]bool) ([]*exec.Lea
 		}
 		leaves = append(leaves, &exec.Leaf{
 			Provider: ex.cat.Providers[rel.Name], Pred: pred,
-			Push: entry, PushBatch: tree.EntryBatch[rel.Name],
+			PushBatch: entry,
 		})
 	}
 	return leaves, nil

@@ -10,7 +10,7 @@ import (
 // AbsorbRaw for full-layout tuples, AbsorbPartial for pre-aggregated
 // partials. Absorption does not retain the pushed tuple, so adaptation
 // reuses one scratch tuple (types.Adapter.AdaptInto): the sink performs
-// zero steady-state allocations, tuple-at-a-time or batched.
+// zero steady-state allocations.
 type aggSink struct {
 	agg     *exec.AggTable
 	ad      *types.Adapter
@@ -18,36 +18,27 @@ type aggSink struct {
 	scratch types.Tuple
 }
 
-// Push implements exec.Sink.
-func (s *aggSink) Push(t types.Tuple) {
-	s.scratch = s.ad.AdaptInto(s.scratch, t)
-	if s.partial {
-		s.agg.AbsorbPartial(s.scratch)
-	} else {
-		s.agg.AbsorbRaw(s.scratch)
-	}
-}
-
-// PushBatch implements exec.BatchSink.
+// PushBatch implements exec.Sink.
 func (s *aggSink) PushBatch(ts []types.Tuple) {
 	for _, t := range ts {
-		s.Push(t)
+		s.scratch = s.ad.AdaptInto(s.scratch, t)
+		if s.partial {
+			s.agg.AbsorbPartial(s.scratch)
+		} else {
+			s.agg.AbsorbRaw(s.scratch)
+		}
 	}
 }
 
-// forwardSink forwards tuples and batches to a late-bound downstream sink
-// (the stitch-up output is constructed before its schema-dependent
-// destination exists). Batches pass through PushAll so the downstream
-// sink's vectorized path is preserved.
+// forwardSink forwards batches to a late-bound downstream sink (the
+// stitch-up output is constructed before its schema-dependent
+// destination exists).
 type forwardSink struct {
 	out exec.Sink
 }
 
-// Push implements exec.Sink.
-func (f *forwardSink) Push(t types.Tuple) { f.out.Push(t) }
-
-// PushBatch implements exec.BatchSink.
-func (f *forwardSink) PushBatch(ts []types.Tuple) { exec.PushAll(f.out, ts) }
+// PushBatch implements exec.Sink.
+func (f *forwardSink) PushBatch(ts []types.Tuple) { f.out.PushBatch(ts) }
 
 // listSink materializes tuples into a state structure, charging one Move
 // per tuple (a materialization write).
@@ -56,14 +47,8 @@ type listSink struct {
 	dst *state.List
 }
 
-// Push implements exec.Sink.
-func (s *listSink) Push(t types.Tuple) {
-	s.ctx.Clock.Charge(s.ctx.Cost.Move)
-	s.dst.Insert(t)
-}
-
-// PushBatch implements exec.BatchSink: one bulk append after the
-// per-tuple Move charges.
+// PushBatch implements exec.Sink: one bulk append after the per-tuple
+// Move charges.
 func (s *listSink) PushBatch(ts []types.Tuple) {
 	for range ts {
 		s.ctx.Clock.Charge(s.ctx.Cost.Move)
@@ -81,17 +66,12 @@ type collectSink struct {
 	cost bool // charge Move per tuple (phase output does; stitch-up already charged)
 }
 
-// Push implements exec.Sink.
-func (s *collectSink) Push(t types.Tuple) {
-	if s.cost {
-		s.ctx.Clock.Charge(s.ctx.Cost.Move)
-	}
-	*s.dst = append(*s.dst, s.ad.Adapt(t))
-}
-
-// PushBatch implements exec.BatchSink.
+// PushBatch implements exec.Sink.
 func (s *collectSink) PushBatch(ts []types.Tuple) {
 	for _, t := range ts {
-		s.Push(t)
+		if s.cost {
+			s.ctx.Clock.Charge(s.ctx.Cost.Move)
+		}
+		*s.dst = append(*s.dst, s.ad.Adapt(t))
 	}
 }

@@ -264,7 +264,7 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 		}
 		s.Emitted += int64(len(rows))
 		if len(rows) > 0 {
-			exec.PushAll(s.out, rows)
+			s.out.PushBatch(rows)
 		}
 		return true
 	})
@@ -275,6 +275,7 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 	// unbuffered outputs included.
 	for _, ph := range s.phases {
 		s.Discarded += ph.RootOut
+		//adp:unordered-ok integer sum over the map's lists; order cannot surface
 		for _, l := range ph.Interm {
 			if !s.touched[l] {
 				s.Discarded += int64(l.Len())

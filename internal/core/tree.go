@@ -36,14 +36,10 @@ type TreeJoin struct {
 // Tree is a lowered, executable pipeline for one phase's plan.
 type Tree struct {
 	ctx *exec.Context
-	// Entry maps base relation name -> push function accepting post-
-	// filter source tuples.
-	Entry map[string]func(types.Tuple)
-	// EntryBatch maps base relation name -> batched push function (set
-	// when the operator at the entry point accepts batches; the source
-	// driver uses it to deliver whole batches into the plan). The batch
-	// slice must not be retained by the plan.
-	EntryBatch map[string]func([]types.Tuple)
+	// Entry maps base relation name -> push function accepting batches
+	// of post-filter source tuples. The batch slice must not be retained
+	// by the plan.
+	Entry map[string]func([]types.Tuple)
 	// EntryDelta maps base relation name -> signed push function (set
 	// when the entry operator accepts delta batches; the maintenance
 	// driver feeds warm-up replays and live deltas through it).
@@ -78,7 +74,7 @@ type blockingPreAgg struct {
 }
 
 func (b *blockingPreAgg) flush() {
-	exec.PushAll(b.out, b.table.EmitPartial())
+	b.out.PushBatch(b.table.EmitPartial())
 }
 
 // Lower compiles an optimizer plan tree into an executable push pipeline
@@ -91,8 +87,7 @@ func (b *blockingPreAgg) flush() {
 func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink, keepInterm bool) (*Tree, error) {
 	t := &Tree{
 		ctx:        ctx,
-		Entry:      map[string]func(types.Tuple){},
-		EntryBatch: map[string]func([]types.Tuple){},
+		Entry:      map[string]func([]types.Tuple){},
 		EntryDelta: map[string]func(*types.ColBatch, int){},
 		RootSchema: plan.Schema(),
 		keepInterm: keepInterm,
@@ -104,8 +99,7 @@ func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink, keepInterm bool)
 }
 
 // teeSink duplicates a join's output into its materialization buffer
-// (stitch-up reuse, §3.4.2) while forwarding it downstream; batches are
-// forwarded as batches. Only corrective phase trees tee, and they carry
+// (stitch-up reuse, §3.4.2) while forwarding it downstream. Only corrective phase trees tee, and they carry
 // unsigned traffic only: maintenance trees are lowered without buffers
 // and re-warm join state from the base logs instead.
 type teeSink struct {
@@ -113,16 +107,10 @@ type teeSink struct {
 	out exec.Sink
 }
 
-// Push implements exec.Sink.
-func (s *teeSink) Push(t types.Tuple) {
-	s.buf.Insert(t)
-	s.out.Push(t)
-}
-
-// PushBatch implements exec.BatchSink.
+// PushBatch implements exec.Sink.
 func (s *teeSink) PushBatch(ts []types.Tuple) {
 	s.buf.InsertBatch(ts)
-	exec.PushAll(s.out, ts)
+	s.out.PushBatch(ts)
 }
 
 func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
@@ -132,10 +120,7 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		if _, dup := t.Entry[name]; dup {
 			return fmt.Errorf("core: relation %q appears twice in plan", name)
 		}
-		t.Entry[name] = out.Push
-		if bs, ok := out.(exec.BatchSink); ok {
-			t.EntryBatch[name] = bs.PushBatch
-		}
+		t.Entry[name] = out.PushBatch
 		if ds, ok := out.(exec.DeltaSink); ok {
 			// Lazy: partitioned lowerings construct Tree literals without
 			// the maintenance entry map (their clones never serve deltas).

@@ -294,12 +294,9 @@ func (a *AggTable) AbsorbRaw(t types.Tuple) {
 	}
 }
 
-// Push implements Sink as AbsorbRaw, letting an AggTable terminate a push
-// pipeline directly.
-func (a *AggTable) Push(t types.Tuple) { a.AbsorbRaw(t) }
-
-// PushBatch implements BatchSink: a batch of raw tuples is absorbed with
-// the shared grouping scratch, no per-tuple allocations at steady state.
+// PushBatch implements Sink, letting an AggTable terminate a push
+// pipeline directly: a batch of raw tuples is absorbed with the shared
+// grouping scratch, no per-tuple allocations at steady state.
 //
 //adp:hotpath gated by BenchmarkAggTableAbsorb (scripts/check_allocs.sh)
 func (a *AggTable) PushBatch(ts []types.Tuple) {
@@ -438,15 +435,7 @@ func (p *Pseudogroup) Schema() *types.Schema { return p.schema }
 // Counters exposes statistics.
 func (p *Pseudogroup) Counters() *stats.OpCounters { return &p.counters }
 
-// Push implements Sink.
-func (p *Pseudogroup) Push(t types.Tuple) {
-	p.counters.In++
-	p.counters.Out++
-	p.ctx.Clock.Charge(p.ctx.Cost.Move)
-	p.out.Push(p.singleton(t, false))
-}
-
-// PushBatch implements BatchSink: singleton partials are carved from an
+// PushBatch implements Sink: singleton partials are carved from an
 // arena and forwarded as one batch.
 func (p *Pseudogroup) PushBatch(ts []types.Tuple) {
 	p.scratch = p.scratch[:0]
@@ -454,22 +443,17 @@ func (p *Pseudogroup) PushBatch(ts []types.Tuple) {
 		p.counters.In++
 		p.counters.Out++
 		p.ctx.Clock.Charge(p.ctx.Cost.Move)
-		p.scratch = append(p.scratch, p.singleton(t, true))
+		p.scratch = append(p.scratch, p.singleton(t))
 	}
 	if len(p.scratch) > 0 {
-		PushAll(p.out, p.scratch)
+		p.out.PushBatch(p.scratch)
 	}
 }
 
-// singleton converts one raw tuple to a partial-layout singleton, carving
-// storage from the arena when requested.
-func (p *Pseudogroup) singleton(t types.Tuple, useArena bool) types.Tuple {
-	var out types.Tuple
-	if useArena {
-		out = p.arena.alloc(p.schema.Len())[:0]
-	} else {
-		out = make(types.Tuple, 0, p.schema.Len())
-	}
+// singleton converts one raw tuple to a partial-layout singleton carved
+// from the arena.
+func (p *Pseudogroup) singleton(t types.Tuple) types.Tuple {
+	out := p.arena.alloc(p.schema.Len())[:0]
 	for _, gi := range p.groupIdx {
 		out = append(out, t[gi])
 	}
@@ -511,6 +495,8 @@ type WindowPreAgg struct {
 
 	keyBuf     []byte
 	valScratch []types.Value
+	// one is the reused frame every partial row leaves in (see emit).
+	one [1]types.Tuple
 
 	counters stats.OpCounters
 	// WindowsFlushed and Coalesced instrument the adaptation policy.
@@ -563,8 +549,16 @@ func (w *WindowPreAgg) Schema() *types.Schema { return w.schema }
 // Counters exposes statistics.
 func (w *WindowPreAgg) Counters() *stats.OpCounters { return &w.counters }
 
-// Push implements Sink.
-func (w *WindowPreAgg) Push(t types.Tuple) {
+// PushBatch implements Sink.
+func (w *WindowPreAgg) PushBatch(ts []types.Tuple) {
+	for _, t := range ts {
+		w.absorb(t)
+	}
+}
+
+// absorb folds one tuple into the current window, flushing the window
+// when it fills.
+func (w *WindowPreAgg) absorb(t types.Tuple) {
 	w.counters.In++
 	if w.W <= 1 {
 		// Degenerate window: pseudogroup pass-through, costing "little
@@ -602,13 +596,6 @@ func (w *WindowPreAgg) Push(t types.Tuple) {
 	}
 }
 
-// PushBatch implements BatchSink.
-func (w *WindowPreAgg) PushBatch(ts []types.Tuple) {
-	for _, t := range ts {
-		w.Push(t)
-	}
-}
-
 // pushSingleton converts one tuple into a partial-layout singleton and
 // forwards it (the w=1 pass-through mode).
 func (w *WindowPreAgg) pushSingleton(t types.Tuple) {
@@ -627,7 +614,17 @@ func (w *WindowPreAgg) pushSingleton(t types.Tuple) {
 		out = append(out, st.partialCols(spec.Kind)...)
 	}
 	w.counters.Out++
-	w.out.Push(out)
+	w.emit(out)
+}
+
+// emit delivers one partial row downstream as a one-row batch, before the
+// operator charges for its next row: downstream charges stay interleaved
+// with this operator's, row by row, which keeps the virtual clocks of
+// plans with pre-aggregation exactly as per-row delivery leaves them.
+func (w *WindowPreAgg) emit(t types.Tuple) {
+	w.one[0] = t
+	w.out.PushBatch(w.one[:])
+	w.one[0] = nil
 }
 
 // flush emits the current window's partial groups and adapts the window
@@ -650,7 +647,7 @@ func (w *WindowPreAgg) flush() {
 		}
 		w.ctx.Clock.Charge(w.ctx.Cost.Move)
 		w.counters.Out++
-		w.out.Push(t)
+		w.emit(t)
 	}
 	ratio := float64(len(w.cur)) / float64(w.curN)
 	w.Coalesced += int64(w.curN - len(w.cur))

@@ -4,38 +4,10 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// BatchSink is the vectorized extension of Sink: operators that implement
-// it accept a whole slice of tuples per call, letting a pipeline segment
-// amortize per-tuple call and allocation overhead across the batch. The
-// batch slice is owned by the caller and is only valid for the duration of
-// the call — receivers must not retain it (retaining the tuples themselves
-// is fine). Semantics are exactly those of pushing each tuple in order:
-// counters, virtual-clock charges, and output ordering are identical to
-// the tuple-at-a-time path.
-type BatchSink interface {
-	Sink
-	// PushBatch pushes ts in order. ts must not be retained.
-	PushBatch(ts []types.Tuple)
-}
-
-// PushAll delivers a batch to any sink, using the vectorized fast path
-// when the sink advertises one and falling back to tuple-at-a-time Push
-// otherwise.
-func PushAll(s Sink, ts []types.Tuple) {
-	if bs, ok := s.(BatchSink); ok {
-		bs.PushBatch(ts)
-		return
-	}
-	for _, t := range ts {
-		s.Push(t)
-	}
-}
-
-// discardSink drops tuples and batches (benchmarks disable query output to
-// eliminate client feedback, §3.5).
+// discardSink drops batches (benchmarks disable query output to eliminate
+// client feedback, §3.5).
 type discardSink struct{}
 
-func (discardSink) Push(types.Tuple)        {}
 func (discardSink) PushBatch([]types.Tuple) {}
 
 // Discard is a Sink that drops tuples.
@@ -81,36 +53,25 @@ func (a *valueArena) concat(lt, rt types.Tuple) types.Tuple {
 const emitFlushLen = 1024
 
 // BatchEmitter is the shared emit machinery of the join-shaped operators
-// (HashJoin, MergeJoin, the complementary pair's mini stitch-up): between
-// Begin and Flush, concatenated outputs are carved from a slab arena and
-// buffered so a whole batch's results reach the downstream sink in one
-// PushAll; outside a batch, EmitConcat degrades to a per-tuple Push of a
-// freshly allocated concatenation. Delivery order is always the emit
-// order.
+// (HashJoin, MergeJoin, the complementary pair's mini stitch-up):
+// concatenated outputs are carved from a slab arena and buffered until
+// Flush, so a whole input batch's results reach the downstream sink in one
+// PushBatch. Delivery order is always the emit order.
 type BatchEmitter struct {
-	active bool
-	buf    []types.Tuple
-	arena  valueArena
+	buf   []types.Tuple
+	arena valueArena
 }
 
-// Begin switches emits to the buffered arena path.
-func (e *BatchEmitter) Begin() { e.active = true }
-
-// EmitConcat emits lt ++ rt.
+// EmitConcat buffers lt ++ rt.
 func (e *BatchEmitter) EmitConcat(out Sink, lt, rt types.Tuple) {
-	if !e.active {
-		out.Push(lt.Concat(rt))
-		return
-	}
 	e.buf = append(e.buf, e.arena.concat(lt, rt))
 	if len(e.buf) >= emitFlushLen {
 		e.deliver(out)
 	}
 }
 
-// Flush ends the batch, delivering any buffered outputs downstream.
+// Flush delivers any buffered outputs downstream.
 func (e *BatchEmitter) Flush(out Sink) {
-	e.active = false
 	if len(e.buf) > 0 {
 		e.deliver(out)
 	}
@@ -119,7 +80,7 @@ func (e *BatchEmitter) Flush(out Sink) {
 // deliver hands the buffer downstream and clears it before reuse so it
 // does not pin arena-backed results downstream has already dropped.
 func (e *BatchEmitter) deliver(out Sink) {
-	PushAll(out, e.buf)
+	out.PushBatch(e.buf)
 	clear(e.buf)
 	e.buf = e.buf[:0]
 }

@@ -1,139 +1,29 @@
 package exec
 
 import (
-	"math"
 	"testing"
 
-	"github.com/tukwila/adp/internal/algebra"
-	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/types"
 )
 
-// feedJoin pushes ls/rs in alternating chunks of chunkSize per side — the
-// same arrival order either way — delivering each chunk through the
-// batched entry points (batched=true) or tuple-at-a-time (batched=false),
-// so any output difference isolates the batch machinery itself.
-func feedJoin(j *HashJoin, ls, rs []types.Tuple, chunkSize int, batched bool) {
+// feedJoin pushes ls/rs in alternating chunks of chunkSize per side, then
+// finishes both inputs.
+func feedJoin(j *HashJoin, ls, rs []types.Tuple, chunkSize int) {
 	i, k := 0, 0
-	deliver := func(push func(types.Tuple), pushBatch func([]types.Tuple), chunk []types.Tuple) {
-		if batched {
-			pushBatch(chunk)
-			return
-		}
-		for _, t := range chunk {
-			push(t)
-		}
-	}
 	for i < len(ls) || k < len(rs) {
 		if i < len(ls) {
 			end := min(i+chunkSize, len(ls))
-			deliver(j.PushLeft, j.PushLeftBatch, ls[i:end])
+			j.PushLeftBatch(ls[i:end])
 			i = end
 		}
 		if k < len(rs) {
 			end := min(k+chunkSize, len(rs))
-			deliver(j.PushRight, j.PushRightBatch, rs[k:end])
+			j.PushRightBatch(rs[k:end])
 			k = end
 		}
 	}
 	j.FinishLeft()
 	j.FinishRight()
-}
-
-// TestBatchPushMatchesTupleAtATime verifies the batched join path is
-// semantically identical to tuple-at-a-time pushing for every join style:
-// same outputs in the same order, same counters, same virtual-clock
-// charges.
-func TestBatchPushMatchesTupleAtATime(t *testing.T) {
-	ls := randTuples(2000, 300, 1, rRow)
-	rs := randTuples(2000, 300, 2, sRow)
-	for _, style := range []JoinStyle{Pipelined, BuildThenProbe, NestedLoops} {
-		ctx1, ctx2 := NewContext(), NewContext()
-		out1, out2 := &collectSink{}, &collectSink{}
-		j1 := NewHashJoin(ctx1, style, rSchema, sSchema, []int{0}, []int{0}, out1)
-		j2 := NewHashJoin(ctx2, style, rSchema, sSchema, []int{0}, []int{0}, out2)
-		feedJoin(j1, ls, rs, 64, false)
-		feedJoin(j2, ls, rs, 64, true)
-		if len(out1.rows) != len(out2.rows) {
-			t.Fatalf("%v: %d vs %d output tuples", style, len(out1.rows), len(out2.rows))
-		}
-		for i := range out1.rows {
-			if out1.rows[i].String() != out2.rows[i].String() {
-				t.Fatalf("%v: output %d differs: %v vs %v", style, i, out1.rows[i], out2.rows[i])
-			}
-		}
-		c1, c2 := j1.Counters(), j2.Counters()
-		if *c1 != *c2 {
-			t.Fatalf("%v: counters differ: %+v vs %+v", style, c1, c2)
-		}
-		if ctx1.Clock.CPU != ctx2.Clock.CPU || ctx1.Clock.Now != ctx2.Clock.Now {
-			t.Fatalf("%v: clocks differ: (%v, %v) vs (%v, %v)",
-				style, ctx1.Clock.Now, ctx1.Clock.CPU, ctx2.Clock.Now, ctx2.Clock.CPU)
-		}
-	}
-}
-
-// TestBatchPipelineSegment pushes batches through a Filter → Project →
-// HashJoin → AggTable segment (the shape of a lowered phase plan) and
-// checks the final aggregate and every operator's counters against the
-// tuple-at-a-time result.
-func TestBatchPipelineSegment(t *testing.T) {
-	// Project r(k,a) -> (a,k) so the join keys on column 1 of the
-	// projected layout.
-	projSchema := types.NewSchema(
-		types.Column{Name: "r.a", Kind: types.KindInt},
-		types.Column{Name: "r.k", Kind: types.KindInt},
-	)
-	full := projSchema.Concat(sSchema)
-	aggs := []algebra.AggSpec{{Kind: algebra.AggCount, As: "n"}}
-	build := func() (*Filter, *Project, *HashJoin, *AggTable, *Context) {
-		ctx := NewContext()
-		agg, err := NewAggTable(ctx, full, []string{"r.k"}, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j := NewHashJoin(ctx, Pipelined, projSchema, sSchema, []int{1}, []int{0}, agg)
-		ad, err := types.NewAdapter(rSchema, projSchema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := NewProject(ctx, ad, j.LeftSink())
-		f := NewFilter(ctx, func(tp types.Tuple) bool { return tp[1].I%3 != 0 }, p)
-		return f, p, j, agg, ctx
-	}
-	ls := randTuples(3000, 200, 3, rRow)
-	rs := randTuples(3000, 200, 4, sRow)
-
-	f1, p1, j1, a1, ctx1 := build()
-	for i := range ls {
-		f1.Push(ls[i])
-		j1.PushRight(rs[i])
-	}
-	f2, p2, j2, a2, ctx2 := build()
-	for i := 0; i < len(ls); i += 128 {
-		end := min(i+128, len(ls))
-		f2.PushBatch(ls[i:end])
-		j2.PushRightBatch(rs[i:end])
-	}
-
-	r1, r2 := a1.EmitFinal(), a2.EmitFinal()
-	if len(r1) != len(r2) || len(r1) == 0 {
-		t.Fatalf("group counts differ: %d vs %d", len(r1), len(r2))
-	}
-	for i := range r1 {
-		if r1[i].String() != r2[i].String() {
-			t.Fatalf("group %d differs: %v vs %v", i, r1[i], r2[i])
-		}
-	}
-	if *a1.Counters() != *a2.Counters() || *j1.Counters() != *j2.Counters() ||
-		*p1.Counters() != *p2.Counters() || *f1.Counters() != *f2.Counters() {
-		t.Fatal("operator counters differ between tuple and batch runs")
-	}
-	// Charges are summed in a different order across operators in the
-	// batched path, so the totals agree only up to float non-associativity.
-	if diff := math.Abs(ctx1.Clock.CPU - ctx2.Clock.CPU); diff > 1e-9*ctx1.Clock.CPU {
-		t.Fatalf("pipeline clocks differ: %v vs %v", ctx1.Clock.CPU, ctx2.Clock.CPU)
-	}
 }
 
 // TestQueueDrainCompacts covers the Drain memory fix: partial drains
@@ -143,7 +33,7 @@ func TestQueueDrainCompacts(t *testing.T) {
 	sink := &collectSink{}
 	q := NewQueue(sink)
 	for i := int64(0); i < 10; i++ {
-		q.Push(rRow(i, i))
+		q.PushBatch(one(rRow(i, i)))
 	}
 	if n := q.Drain(3); n != 3 || q.Len() != 7 {
 		t.Fatalf("Drain(3) = %d, len %d", n, q.Len())
@@ -162,86 +52,5 @@ func TestQueueDrainCompacts(t *testing.T) {
 	}
 	if n := q.Drain(5); n != 0 {
 		t.Fatalf("Drain on empty = %d", n)
-	}
-}
-
-// joinAllocsPerTuple measures total heap allocations of constructing and
-// running a pipelined join over n tuples per side, divided by the tuple
-// count.
-func joinAllocsPerTuple(n, batchSize int) float64 {
-	ls := randTuples(n, int64(n/4), 5, rRow)
-	rs := randTuples(n, int64(n/4), 6, sRow)
-	allocs := testing.AllocsPerRun(1, func() {
-		j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, Discard)
-		feedJoin(j, ls, rs, 64, batchSize > 1)
-	})
-	return allocs / float64(2*n)
-}
-
-// TestBatchAllocsAtLeastHalved enforces the PR's headline acceptance
-// criterion as a regression test: the batched pipelined-join path
-// performs at most half the allocations per tuple of the tuple-at-a-time
-// baseline.
-func TestBatchAllocsAtLeastHalved(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement")
-	}
-	tuple := joinAllocsPerTuple(4096, 1)
-	batch := joinAllocsPerTuple(4096, 64)
-	t.Logf("allocs/tuple: tuple-at-a-time %.3f, batch %.3f", tuple, batch)
-	if batch > tuple/2 {
-		t.Fatalf("batched path allocates %.3f/tuple, more than half of baseline %.3f/tuple", batch, tuple)
-	}
-}
-
-// TestDriverRowBatchDelivery runs the availability-ordered source driver
-// with tuple and row-batch leaves over sources with interleaved arrival
-// schedules, and requires identical outputs, delivery counts, and final
-// clocks.
-func TestDriverRowBatchDelivery(t *testing.T) {
-	ls := randTuples(1500, 250, 5, rRow)
-	rs := randTuples(1500, 250, 6, sRow)
-	lRel := source.NewRelation("r", rSchema, ls)
-	rRel := source.NewRelation("s", sSchema, rs)
-	run := func(batched bool) (*collectSink, *Driver, *Context) {
-		ctx := NewContext()
-		out := &collectSink{}
-		j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, out)
-		ll := &Leaf{
-			Provider: source.NewProvider(lRel, source.NewBursty(len(ls), 12000, 80, 0.01, 3)),
-			Pred:     func(tp types.Tuple) bool { return tp[1].I%7 != 0 },
-			Push:     j.PushLeft,
-		}
-		rl := &Leaf{
-			Provider: source.NewProvider(rRel, source.NewBursty(len(rs), 9000, 120, 0.02, 4)),
-			Push:     j.PushRight,
-		}
-		if batched {
-			ll.PushBatch, rl.PushBatch = j.PushLeftBatch, j.PushRightBatch
-		}
-		d := NewDriver(ctx, ll, rl)
-		d.Run(0, nil)
-		j.FinishLeft()
-		j.FinishRight()
-		return out, d, ctx
-	}
-	outT, dT, ctxT := run(false)
-	if len(outT.rows) == 0 {
-		t.Fatal("no join output")
-	}
-	out, d, ctx := run(true)
-	if d.Delivered != dT.Delivered {
-		t.Fatalf("delivered %d vs %d", d.Delivered, dT.Delivered)
-	}
-	if len(out.rows) != len(outT.rows) {
-		t.Fatalf("%d vs %d outputs", len(out.rows), len(outT.rows))
-	}
-	for i := range out.rows {
-		if out.rows[i].String() != outT.rows[i].String() {
-			t.Fatalf("output %d differs", i)
-		}
-	}
-	if ctx.Clock.Now != ctxT.Clock.Now && math.Abs(ctx.Clock.Now-ctxT.Clock.Now) > 1e-9*ctxT.Clock.Now {
-		t.Fatalf("clock %v vs %v", ctx.Clock.Now, ctxT.Clock.Now)
 	}
 }

@@ -54,7 +54,7 @@ func (d *DeltaForward) Forward(out Sink, b *types.ColBatch, sign int) {
 		return
 	}
 	if sign > 0 {
-		PushAll(out, d.cr.Rows(b))
+		out.PushBatch(d.cr.Rows(b))
 		return
 	}
 	panic("exec: retraction delta reached a sink without PushDelta")

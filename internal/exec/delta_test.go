@@ -21,7 +21,6 @@ type updateLog struct {
 	signs []int
 }
 
-func (u *updateLog) Push(t types.Tuple) { u.add(t, 1) }
 func (u *updateLog) PushBatch(ts []types.Tuple) {
 	for _, t := range ts {
 		u.add(t, 1)

@@ -28,10 +28,8 @@ type Exchange struct {
 	keyCols []int
 	route   func(part int, rows []types.Tuple)
 
-	// scratch[p] gathers the current batch's rows for partition p; one
-	// single-tuple buffer backs the scalar Push path.
+	// scratch[p] gathers the current batch's rows for partition p.
 	scratch [][]types.Tuple
-	one     [1]types.Tuple
 
 	counters stats.OpCounters
 }
@@ -69,16 +67,7 @@ func partitionOf(h uint64, parts int) int {
 	return int(h % uint64(parts))
 }
 
-// Push implements Sink: a single row routes as a one-row sub-batch.
-func (e *Exchange) Push(t types.Tuple) {
-	e.counters.In++
-	e.counters.Out++
-	e.one[0] = t
-	e.route(e.PartitionOf(t), e.one[:1])
-	e.one[0] = nil
-}
-
-// PushBatch implements BatchSink: the batch is scattered into reused
+// PushBatch implements Sink: the batch is scattered into reused
 // per-partition buffers and delivered partition by partition (ascending),
 // preserving row order within each partition. Steady state performs no
 // allocations beyond buffer growth.

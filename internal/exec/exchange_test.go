@@ -56,7 +56,7 @@ func TestExchangePartitioning(t *testing.T) {
 		}
 	}
 
-	// The scalar entry agrees with the batch path.
+	// One-row batches route exactly like the whole batch.
 	scalar := make([]int, 0, len(rows))
 	exS := NewExchange(parts, []int{0}, func(p int, ts []types.Tuple) {
 		for range ts {
@@ -64,11 +64,11 @@ func TestExchangePartitioning(t *testing.T) {
 		}
 	})
 	for _, tp := range rows {
-		exS.Push(tp)
+		exS.PushBatch(one(tp))
 	}
 	for i, tp := range rows {
 		if scalar[i] != ex.PartitionOf(tp) {
-			t.Fatalf("scalar route %d != batch route %d for %v", scalar[i], ex.PartitionOf(tp), tp)
+			t.Fatalf("one-row route %d != batch route %d for %v", scalar[i], ex.PartitionOf(tp), tp)
 		}
 	}
 }

@@ -14,10 +14,7 @@ import (
 // overhead charged to the clock so the overhead experiment is honest.
 type Leaf struct {
 	Provider source.Provider
-	// Push delivers a post-filter tuple into the plan.
-	Push func(t types.Tuple)
-	// PushBatch, when set, delivers a batch of post-filter tuples into
-	// the plan in one call (the driver's vectorized delivery path). The
+	// PushBatch delivers a batch of post-filter tuples into the plan. The
 	// slice is reused across batches and must not be retained.
 	PushBatch func(ts []types.Tuple)
 	// Pred is the bound local selection (nil = none).
@@ -112,28 +109,15 @@ func (d *Driver) readInto(l *Leaf) (types.Tuple, bool) {
 	return row.T, true
 }
 
-// Step delivers a single tuple from the earliest-available non-exhausted
-// leaf; ok=false when all sources are exhausted.
-func (d *Driver) Step() bool {
-	best := d.bestLeaf()
-	if best < 0 {
-		return false
-	}
-	l := d.leaves[best]
-	if t, ok := d.readInto(l); ok {
-		l.Push(t)
-	}
-	return true
-}
-
 // stepBatch reads up to max tuples from the earliest-available leaf into
-// batch and delivers the post-filter survivors in one call (PushBatch when
-// the leaf supports it). A batch extends only while the same leaf remains
-// the earliest under Step's selection rule AND its next tuple is already
-// available (arrival ≤ current virtual time, so the AdvanceTo it would
-// perform is a no-op) — which makes the batched run's delivery order,
-// counters, and final clock identical to tuple-at-a-time stepping. It
-// returns the number of tuples read (0 when sources are exhausted).
+// batch and delivers the post-filter survivors in one PushBatch call. A
+// batch extends only while the same leaf remains the earliest (bestLeaf)
+// AND its next tuple is already available (arrival ≤ current virtual
+// time, so the AdvanceTo it would perform is a no-op): delivery order and
+// counters are those of servicing one tuple at a time in availability
+// order (§3.3), and the clock differs only in the order its charges are
+// summed. It returns the number of tuples read (0 when sources are
+// exhausted).
 func (d *Driver) stepBatch(max int, batch *[]types.Tuple) int {
 	best := d.bestLeaf()
 	if best < 0 {
@@ -155,13 +139,7 @@ func (d *Driver) stepBatch(max int, batch *[]types.Tuple) int {
 	}
 	*batch = buf
 	if len(buf) > 0 {
-		if l.PushBatch != nil {
-			l.PushBatch(buf)
-		} else {
-			for _, t := range buf {
-				l.Push(t)
-			}
-		}
+		l.PushBatch(buf)
 	}
 	return reads
 }

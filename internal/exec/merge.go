@@ -66,8 +66,8 @@ func (s *mergeSide) push(t types.Tuple) error {
 		s.ready = append(s.ready, s.open)
 		s.open = mergeGroup{rows: s.arena.one(t)}
 	default:
-		return fmt.Errorf("exec: merge join received out-of-order tuple (key %v after %v)",
-			keyValues(t, s.keyCols), keyValues(s.open.rows[0], s.keyCols))
+		return fmt.Errorf("exec: merge join received out-of-order tuple %v after %v (key columns %v)",
+			t, s.open.rows[0], s.keyCols)
 	}
 	return nil
 }
@@ -122,45 +122,16 @@ func (m *MergeJoin) Counters() *stats.OpCounters { return &m.counters }
 // stitch-up).
 func (m *MergeJoin) Tables() (left, right *state.HashTable) { return m.left.table, m.right.table }
 
-// PushLeft feeds an in-order tuple to the left input.
-func (m *MergeJoin) PushLeft(t types.Tuple) error {
-	m.counters.In++
-	m.counters.InLeft++
-	m.left.table.Insert(t)
-	m.ctx.Clock.Charge(m.ctx.Cost.HashInsert)
-	if err := m.left.push(t); err != nil {
-		return err
-	}
-	m.advance()
-	return nil
-}
-
-// PushRight feeds an in-order tuple to the right input.
-func (m *MergeJoin) PushRight(t types.Tuple) error {
-	m.counters.In++
-	m.counters.InRight++
-	m.right.table.Insert(t)
-	m.ctx.Clock.Charge(m.ctx.Cost.HashInsert)
-	if err := m.right.push(t); err != nil {
-		return err
-	}
-	m.advance()
-	return nil
-}
-
 // PushLeftBatch feeds a batch of in-order tuples to the left input. Each
 // tuple's key is hashed once for the local-table insert, and the batch's
 // join outputs are carved from the emitter's arena and delivered
-// downstream in one call. Counters, virtual-clock charges, output order,
-// and error handling are identical to pushing the tuples one at a time:
-// an out-of-order tuple is rejected individually (it is still stored in
-// the local table, as PushLeft does) and processing continues with the
-// rest of the batch; the first error is returned. The batch slice is not
+// downstream in one call. An out-of-order tuple is rejected individually
+// (its local-table insert stands) and processing continues with the rest
+// of the batch; the first error is returned. The batch slice is not
 // retained.
 //
 //adp:hotpath gated by BenchmarkMergeJoinPush (scripts/check_allocs.sh)
 func (m *MergeJoin) PushLeftBatch(ts []types.Tuple) error {
-	m.em.Begin()
 	err := m.pushBatch(&m.left, &m.counters.InLeft, ts)
 	m.em.Flush(m.out)
 	return err
@@ -170,16 +141,14 @@ func (m *MergeJoin) PushLeftBatch(ts []types.Tuple) error {
 //
 //adp:hotpath gated by BenchmarkMergeJoinPush (scripts/check_allocs.sh)
 func (m *MergeJoin) PushRightBatch(ts []types.Tuple) error {
-	m.em.Begin()
 	err := m.pushBatch(&m.right, &m.counters.InRight, ts)
 	m.em.Flush(m.out)
 	return err
 }
 
-// pushBatch is the shared batch entry: per tuple it mirrors PushLeft/
-// PushRight exactly (insert, charge, group accounting, advance, and
-// per-tuple rejection of out-of-order arrivals) so the only difference
-// from the tuple path is the buffered delivery.
+// pushBatch is the shared batch entry: per tuple it inserts, charges,
+// extends the side's groups, and advances the merge, rejecting
+// out-of-order arrivals one by one.
 func (m *MergeJoin) pushBatch(side *mergeSide, inSide *int64, ts []types.Tuple) error {
 	var firstErr error
 	for _, t := range ts {
@@ -188,8 +157,8 @@ func (m *MergeJoin) pushBatch(side *mergeSide, inSide *int64, ts []types.Tuple) 
 		side.table.InsertHashed(t.HashKey(side.keyCols), t)
 		m.ctx.Clock.Charge(m.ctx.Cost.HashInsert)
 		if err := side.push(t); err != nil {
-			// Match the tuple path: the offending tuple is dropped from the
-			// merge (its table insert stands) and later tuples still flow.
+			// The offending tuple is dropped from the merge (its table
+			// insert stands) and later tuples still flow.
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -200,8 +169,7 @@ func (m *MergeJoin) pushBatch(side *mergeSide, inSide *int64, ts []types.Tuple) 
 	return firstErr
 }
 
-// mergeSideSink exposes one input of a MergeJoin as a (batch-capable)
-// sink. The Sink interface has no error channel and an out-of-order push
+// mergeSideSink exposes one input of a MergeJoin as a sink. The Sink interface has no error channel and an out-of-order push
 // is a routing bug by the merge join's contract, so a caller wiring a
 // merge join behind a sink MUST guarantee order — a violation panics
 // rather than silently dropping rows from the join.
@@ -216,16 +184,7 @@ func (s mergeSideSink) check(err error) {
 	}
 }
 
-// Push implements Sink.
-func (s mergeSideSink) Push(t types.Tuple) {
-	if s.left {
-		s.check(s.m.PushLeft(t))
-	} else {
-		s.check(s.m.PushRight(t))
-	}
-}
-
-// PushBatch implements BatchSink.
+// PushBatch implements Sink.
 func (s mergeSideSink) PushBatch(ts []types.Tuple) {
 	if s.left {
 		s.check(s.m.PushLeftBatch(ts))
@@ -234,34 +193,39 @@ func (s mergeSideSink) PushBatch(ts []types.Tuple) {
 	}
 }
 
-// LeftSink returns the join's left input as a batch-capable sink.
+// LeftSink returns the join's left input as a sink.
 func (m *MergeJoin) LeftSink() Sink { return mergeSideSink{m: m, left: true} }
 
-// RightSink returns the join's right input as a batch-capable sink.
+// RightSink returns the join's right input as a sink.
 func (m *MergeJoin) RightSink() Sink { return mergeSideSink{m: m, left: false} }
 
-// FinishLeft closes the left input.
+// FinishLeft closes the left input, delivering the matches it releases
+// as one batch.
 func (m *MergeJoin) FinishLeft() {
 	m.left.finish()
 	m.advance()
+	m.em.Flush(m.out)
 }
 
 // FinishRight closes the right input.
 func (m *MergeJoin) FinishRight() {
 	m.right.finish()
 	m.advance()
+	m.em.Flush(m.out)
 }
 
-// emit delivers one joined tuple (buffered during a batch).
+// emit buffers one joined tuple in the emitter.
 func (m *MergeJoin) emit(lt, rt types.Tuple) {
 	m.ctx.Clock.Charge(m.ctx.Cost.Move)
 	m.counters.Out++
 	m.em.EmitConcat(m.out, lt, rt)
 }
 
-// canPop reports whether the head ready group of side s is safe to match:
-// no smaller-or-equal key can still arrive on the other side... it is safe
-// when the other side has a ready group to compare against, or is done.
+// advance matches closed (ready) groups while it safely can. When both
+// sides have one, the head groups are compared: equal keys join, and
+// otherwise the smaller head is dropped, because every key still to come
+// on the other side is at least that side's head. Once a side is done,
+// the other side's ready groups can never match and are dropped.
 func (m *MergeJoin) advance() {
 	for {
 		lHas, rHas := len(m.left.ready) > 0, len(m.right.ready) > 0

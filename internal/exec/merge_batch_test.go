@@ -20,33 +20,24 @@ func sortedPair(nKeys, fanout int) (ls, rs []types.Tuple) {
 }
 
 // feedMergeJoin pushes ls/rs in alternating chunks of chunkSize per side,
-// through the batch entries (batched=true) or tuple-at-a-time, mirroring
-// feedJoin so any output difference isolates the merge batch machinery.
-func feedMergeJoin(t *testing.T, m *MergeJoin, ls, rs []types.Tuple, chunkSize int, batched bool) {
+// then finishes both inputs.
+func feedMergeJoin(t *testing.T, m *MergeJoin, ls, rs []types.Tuple, chunkSize int) {
 	t.Helper()
-	deliver := func(push func(types.Tuple) error, pushBatch func([]types.Tuple) error, chunk []types.Tuple) {
-		if batched {
-			if err := pushBatch(chunk); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		for _, tp := range chunk {
-			if err := push(tp); err != nil {
-				t.Fatal(err)
-			}
+	deliver := func(pushBatch func([]types.Tuple) error, chunk []types.Tuple) {
+		if err := pushBatch(chunk); err != nil {
+			t.Fatal(err)
 		}
 	}
 	i, k := 0, 0
 	for i < len(ls) || k < len(rs) {
 		if i < len(ls) {
 			end := min(i+chunkSize, len(ls))
-			deliver(m.PushLeft, m.PushLeftBatch, ls[i:end])
+			deliver(m.PushLeftBatch, ls[i:end])
 			i = end
 		}
 		if k < len(rs) {
 			end := min(k+chunkSize, len(rs))
-			deliver(m.PushRight, m.PushRightBatch, rs[k:end])
+			deliver(m.PushRightBatch, rs[k:end])
 			k = end
 		}
 	}
@@ -54,67 +45,24 @@ func feedMergeJoin(t *testing.T, m *MergeJoin, ls, rs []types.Tuple, chunkSize i
 	m.FinishRight()
 }
 
-// TestMergeJoinBatchMatchesTupleAtATime verifies the batched merge-join
-// path is byte-identical to tuple-at-a-time pushing: same outputs in the
-// same (key-ascending) order, same counters, same virtual-clock charges.
-func TestMergeJoinBatchMatchesTupleAtATime(t *testing.T) {
-	ls, rs := sortedPair(400, 3)
-	for _, chunk := range []int{1, 7, 64, 1000} {
-		ctx1, ctx2 := NewContext(), NewContext()
-		out1, out2 := &collectSink{}, &collectSink{}
-		m1 := NewMergeJoin(ctx1, rSchema, sSchema, []int{0}, []int{0}, out1)
-		m2 := NewMergeJoin(ctx2, rSchema, sSchema, []int{0}, []int{0}, out2)
-		feedMergeJoin(t, m1, ls, rs, chunk, false)
-		feedMergeJoin(t, m2, ls, rs, chunk, true)
-		if len(out1.rows) == 0 || len(out1.rows) != len(out2.rows) {
-			t.Fatalf("chunk %d: %d vs %d output tuples", chunk, len(out1.rows), len(out2.rows))
-		}
-		for i := range out1.rows {
-			if out1.rows[i].String() != out2.rows[i].String() {
-				t.Fatalf("chunk %d: output %d differs: %v vs %v", chunk, i, out1.rows[i], out2.rows[i])
-			}
-		}
-		// Ordered delivery: merge-join output must ascend on the join key.
-		for i := 1; i < len(out2.rows); i++ {
-			if out2.rows[i][0].I < out2.rows[i-1][0].I {
-				t.Fatalf("chunk %d: batched output not key-ordered at %d: %v after %v",
-					chunk, i, out2.rows[i], out2.rows[i-1])
-			}
-		}
-		if c1, c2 := m1.Counters(), m2.Counters(); *c1 != *c2 {
-			t.Fatalf("chunk %d: counters differ: %+v vs %+v", chunk, c1, c2)
-		}
-		if ctx1.Clock.Now != ctx2.Clock.Now || ctx1.Clock.CPU != ctx2.Clock.CPU {
-			t.Fatalf("chunk %d: clocks differ: (%v, %v) vs (%v, %v)",
-				chunk, ctx1.Clock.Now, ctx1.Clock.CPU, ctx2.Clock.Now, ctx2.Clock.CPU)
-		}
-		// The local stitch-up tables must be identical too.
-		l1, r1 := m1.Tables()
-		l2, r2 := m2.Tables()
-		if l1.Len() != l2.Len() || r1.Len() != r2.Len() {
-			t.Fatalf("chunk %d: table sizes differ", chunk)
-		}
-	}
-}
-
-// TestMergeJoinBatchOutOfOrder verifies the batch entry mirrors the tuple
-// path on routing bugs: the offending tuple is rejected individually (the
-// first error is returned), the rest of the batch still flows, and the
-// resulting outputs, counters, and clock match per-tuple pushes exactly.
+// TestMergeJoinBatchOutOfOrder verifies per-tuple rejection on routing
+// bugs: within a batch the offending tuple is rejected individually (the
+// first error is returned) and the rest of the batch still flows, so the
+// outputs, counters, and clock match pushing one-row batches exactly.
 func TestMergeJoinBatchOutOfOrder(t *testing.T) {
 	ls := []types.Tuple{rRow(5, 0), rRow(3, 0), rRow(7, 0)} // 3 is out of order
 	rs := []types.Tuple{sRow(5, 0), sRow(7, 0)}
 
 	ctx1, out1 := NewContext(), &collectSink{}
 	m1 := NewMergeJoin(ctx1, rSchema, sSchema, []int{0}, []int{0}, out1)
-	tupleErrs := 0
+	rowErrs := 0
 	for _, tp := range ls {
-		if err := m1.PushLeft(tp); err != nil {
-			tupleErrs++
+		if err := m1.PushLeftBatch(one(tp)); err != nil {
+			rowErrs++
 		}
 	}
 	for _, tp := range rs {
-		if err := m1.PushRight(tp); err != nil {
+		if err := m1.PushRightBatch(one(tp)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,11 +80,11 @@ func TestMergeJoinBatchOutOfOrder(t *testing.T) {
 	m2.FinishLeft()
 	m2.FinishRight()
 
-	if tupleErrs != 1 {
-		t.Fatalf("tuple path rejected %d tuples, want 1", tupleErrs)
+	if rowErrs != 1 {
+		t.Fatalf("one-row batches rejected %d tuples, want 1", rowErrs)
 	}
 	if len(out1.rows) != 2 || len(out2.rows) != len(out1.rows) {
-		t.Fatalf("outputs: tuple %d, batch %d, want 2 each", len(out1.rows), len(out2.rows))
+		t.Fatalf("outputs: one-row batches %d, batch %d, want 2 each", len(out1.rows), len(out2.rows))
 	}
 	for i := range out1.rows {
 		if out1.rows[i].String() != out2.rows[i].String() {
@@ -151,17 +99,14 @@ func TestMergeJoinBatchOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestMergeJoinSinksAreBatchCapable wires batches through LeftSink/
-// RightSink via PushAll, the path plan wiring uses.
-func TestMergeJoinSinksAreBatchCapable(t *testing.T) {
+// TestMergeJoinSinks wires batches through LeftSink/RightSink, the path
+// plan wiring uses.
+func TestMergeJoinSinks(t *testing.T) {
 	ls, rs := sortedPair(50, 2)
 	out := &collectSink{}
 	m := NewMergeJoin(NewContext(), rSchema, sSchema, []int{0}, []int{0}, out)
-	if _, ok := m.LeftSink().(BatchSink); !ok {
-		t.Fatal("LeftSink is not batch-capable")
-	}
-	PushAll(m.LeftSink(), ls)
-	PushAll(m.RightSink(), rs)
+	m.LeftSink().PushBatch(ls)
+	m.RightSink().PushBatch(rs)
 	m.FinishLeft()
 	m.FinishRight()
 	if len(out.rows) != len(ls) {
@@ -179,32 +124,5 @@ func TestMergeJoinSinkPanicsOnDisorder(t *testing.T) {
 			t.Fatal("out-of-order push through the sink did not panic")
 		}
 	}()
-	PushAll(m.LeftSink(), []types.Tuple{rRow(5, 0), rRow(3, 0)})
-}
-
-// mergeAllocsPerTuple measures heap allocations per pushed tuple for the
-// merge join, tuple-at-a-time vs batched.
-func mergeAllocsPerTuple(t *testing.T, n int, batched bool) float64 {
-	ls, rs := sortedPair(n, 4)
-	total := len(ls) + len(rs)
-	allocs := testing.AllocsPerRun(1, func() {
-		m := NewMergeJoin(NewContext(), rSchema, sSchema, []int{0}, []int{0}, Discard)
-		feedMergeJoin(t, m, ls, rs, 64, batched)
-	})
-	return allocs / float64(total)
-}
-
-// TestMergeJoinBatchAllocsReduced pins the batch path's allocation win:
-// buffered arena emits must cut allocations per tuple versus the
-// tuple-at-a-time path's per-output Concat.
-func TestMergeJoinBatchAllocsReduced(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement")
-	}
-	tuple := mergeAllocsPerTuple(t, 2048, false)
-	batch := mergeAllocsPerTuple(t, 2048, true)
-	t.Logf("merge allocs/tuple: tuple-at-a-time %.3f, batch %.3f", tuple, batch)
-	if batch >= tuple*0.75 {
-		t.Fatalf("batched merge path allocates %.3f/tuple, want < 75%% of baseline %.3f/tuple", batch, tuple)
-	}
+	m.LeftSink().PushBatch([]types.Tuple{rRow(5, 0), rRow(3, 0)})
 }

@@ -113,7 +113,7 @@ func (pd *ParallelDriver) Bind(handlers [][]func([]types.Tuple), finish func(par
 }
 
 // LeafScatter returns the driver-side exchange for one source leaf: a
-// batch-capable sink that hash-partitions post-filter source rows on
+// sink that hash-partitions post-filter source rows on
 // keyCols and ships each partition's share to its worker, stamped with
 // the driver clock's current virtual time (the rows' arrival horizon).
 func (pd *ParallelDriver) LeafScatter(entry int, keyCols []int) *Exchange {
@@ -193,7 +193,7 @@ func (pd *ParallelDriver) start() {
 // the partition workers and poll observes a quiesced pipeline: before
 // each poll call the driver waits until every in-flight batch has been
 // fully processed and all workers are parked, so poll may safely read
-// per-partition operator state. The leaves' Push/PushBatch functions are
+// per-partition operator state. The leaves' PushBatch functions are
 // expected to route into this driver's LeafScatter exchanges.
 func (pd *ParallelDriver) Run(leaves []*Leaf, pollEvery int, poll func() bool) (exhausted bool) {
 	exhausted, _ = pd.RunContext(context.Background(), leaves, pollEvery, poll)
@@ -414,13 +414,7 @@ type partitionBuf struct {
 	complete bool
 }
 
-// Push implements Sink.
-func (b *partitionBuf) Push(t types.Tuple) {
-	b.rows = append(b.rows, t)
-	b.total++
-}
-
-// PushBatch implements BatchSink.
+// PushBatch implements Sink.
 func (b *partitionBuf) PushBatch(ts []types.Tuple) {
 	b.rows = append(b.rows, ts...)
 	b.total += len(ts)
@@ -467,7 +461,7 @@ func (m *PartitionMerge) ReleasePrefix(out Sink) {
 	for m.next < len(m.bufs) {
 		b := m.bufs[m.next]
 		if n := len(b.rows); b.released < n {
-			PushAll(out, b.rows[b.released:n])
+			out.PushBatch(b.rows[b.released:n])
 			b.sent += n - b.released
 			b.released = n
 		}

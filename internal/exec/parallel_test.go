@@ -47,8 +47,8 @@ func (f *parJoinFixture) leaves(ls, rs []types.Tuple) []*Leaf {
 	scl := f.pd.LeafScatter(0, []int{0})
 	scr := f.pd.LeafScatter(1, []int{0})
 	return []*Leaf{
-		{Provider: source.NewProvider(lrel, nil), Push: scl.Push, PushBatch: scl.PushBatch},
-		{Provider: source.NewProvider(rrel, nil), Push: scr.Push, PushBatch: scr.PushBatch},
+		{Provider: source.NewProvider(lrel, nil), PushBatch: scl.PushBatch},
+		{Provider: source.NewProvider(rrel, nil), PushBatch: scr.PushBatch},
 	}
 }
 
@@ -65,8 +65,8 @@ func TestParallelDriverJoinMatchesSerial(t *testing.T) {
 	ssink := &collectSink{}
 	sj := NewHashJoin(sctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, ssink)
 	sd := NewDriver(sctx,
-		&Leaf{Provider: source.NewProvider(source.NewRelation("r", rSchema, ls), nil), Push: sj.PushLeft, PushBatch: sj.PushLeftBatch},
-		&Leaf{Provider: source.NewProvider(source.NewRelation("s", sSchema, rs), nil), Push: sj.PushRight, PushBatch: sj.PushRightBatch},
+		&Leaf{Provider: source.NewProvider(source.NewRelation("r", rSchema, ls), nil), PushBatch: sj.PushLeftBatch},
+		&Leaf{Provider: source.NewProvider(source.NewRelation("s", sSchema, rs), nil), PushBatch: sj.PushRightBatch},
 	)
 	sd.Run(0, nil)
 	sj.FinishLeft()
@@ -187,7 +187,7 @@ func TestParallelDriverStageSend(t *testing.T) {
 	pd.Bind(handlers, func(int, int) {}, 1)
 	sc := pd.LeafScatter(0, []int{0})
 	rel := source.NewRelation("r", rSchema, ls)
-	leaves := []*Leaf{{Provider: source.NewProvider(rel, nil), Push: sc.Push, PushBatch: sc.PushBatch}}
+	leaves := []*Leaf{{Provider: source.NewProvider(rel, nil), PushBatch: sc.PushBatch}}
 	if !pd.Run(leaves, 0, nil) {
 		t.Fatal("run did not exhaust")
 	}
@@ -207,7 +207,7 @@ func TestParallelDriverStageSend(t *testing.T) {
 func BenchmarkPartitionMergeRelease(b *testing.B) {
 	rows := randTuples(256, 64, 13, rRow)
 	merge := NewPartitionMerge(4)
-	sink := merge.Sink(0).(BatchSink)
+	sink := merge.Sink(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

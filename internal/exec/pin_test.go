@@ -95,7 +95,7 @@ func TestJoinStylesPinned(t *testing.T) {
 		ctx := NewContext()
 		out := &collectSink{}
 		j := NewHashJoin(ctx, style, rSchema, sSchema, []int{0}, []int{0}, out)
-		feedJoin(j, ls, rs, 64, true)
+		feedJoin(j, ls, rs, 64)
 		sb.WriteString(pinCase(style.String(), ctx.Clock, out.rows, counterLine("join", *j.Counters())))
 	}
 	checkPin(t, "join_styles.pin", sb.String(), 0)
@@ -111,7 +111,7 @@ func TestMergeJoinPinned(t *testing.T) {
 		ctx := NewContext()
 		out := &collectSink{}
 		m := NewMergeJoin(ctx, rSchema, sSchema, []int{0}, []int{0}, out)
-		feedMergeJoin(t, m, ls, rs, chunk, true)
+		feedMergeJoin(t, m, ls, rs, chunk)
 		for i := 1; i < len(out.rows); i++ {
 			if out.rows[i][0].I < out.rows[i-1][0].I {
 				t.Fatalf("chunk %d: output not key-ordered at %d: %v after %v", chunk, i, out.rows[i], out.rows[i-1])
@@ -170,9 +170,11 @@ func TestPipelineSegmentPinned(t *testing.T) {
 		counterLine("join", *j.Counters()), counterLine("agg", *a.Counters())), 1e-9)
 }
 
-// driverJoin runs the availability-ordered driver over two bursty,
-// interleaved sources into a pipelined join.
-func driverJoin(batched bool) (*collectSink, *Driver, *HashJoin, *Context) {
+// TestDriverDeliveryPinned runs the driver's batched delivery over two
+// bursty, interleaved arrival schedules into a pipelined join and holds
+// outputs, delivery counts, and join counters exactly, and the clocks to
+// 1e-9, to the per-tuple pin.
+func TestDriverDeliveryPinned(t *testing.T) {
 	ls := randTuples(1500, 250, 5, rRow)
 	rs := randTuples(1500, 250, 6, sRow)
 	lRel := source.NewRelation("r", rSchema, ls)
@@ -180,30 +182,19 @@ func driverJoin(batched bool) (*collectSink, *Driver, *HashJoin, *Context) {
 	ctx := NewContext()
 	out := &collectSink{}
 	j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, out)
-	ll := &Leaf{
-		Provider: source.NewProvider(lRel, source.NewBursty(len(ls), 12000, 80, 0.01, 3)),
-		Pred:     func(tp types.Tuple) bool { return tp[1].I%7 != 0 },
-		Push:     j.PushLeft,
-	}
-	rl := &Leaf{
-		Provider: source.NewProvider(rRel, source.NewBursty(len(rs), 9000, 120, 0.02, 4)),
-		Push:     j.PushRight,
-	}
-	if batched {
-		ll.PushBatch, rl.PushBatch = j.PushLeftBatch, j.PushRightBatch
-	}
-	d := NewDriver(ctx, ll, rl)
+	d := NewDriver(ctx,
+		&Leaf{
+			Provider:  source.NewProvider(lRel, source.NewBursty(len(ls), 12000, 80, 0.01, 3)),
+			Pred:      func(tp types.Tuple) bool { return tp[1].I%7 != 0 },
+			PushBatch: j.PushLeftBatch,
+		},
+		&Leaf{
+			Provider:  source.NewProvider(rRel, source.NewBursty(len(rs), 9000, 120, 0.02, 4)),
+			PushBatch: j.PushRightBatch,
+		})
 	d.Run(0, nil)
 	j.FinishLeft()
 	j.FinishRight()
-	return out, d, j, ctx
-}
-
-// TestDriverDeliveryPinned runs the driver's batched delivery over
-// interleaved arrival schedules and holds outputs, delivery counts, and
-// join counters exactly, and the clocks to 1e-9, to the per-tuple pin.
-func TestDriverDeliveryPinned(t *testing.T) {
-	out, d, j, ctx := driverJoin(true)
 	checkPin(t, "driver_delivery.pin", pinCase("driver", ctx.Clock, out.rows,
 		fmt.Sprintf("delivered %d", d.Delivered), counterLine("join", *j.Counters())), 1e-9)
 }

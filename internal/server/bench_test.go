@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -39,6 +40,11 @@ func BenchmarkServeQuery(b *testing.B) {
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 	body := `{"query":{"prepared":"spj"},"options":{"strategy":"corrective"}}`
+	// The client only counts row frames, by their fixed prefix, into a
+	// reused scan buffer: decoding each frame would cost more than the
+	// server's encode and drown what the benchmark is for.
+	rowPrefix := []byte(rowFramePrefix)
+	scanBuf := make([]byte, 0, 1<<20)
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -49,9 +55,9 @@ func BenchmarkServeQuery(b *testing.B) {
 		}
 		rows := 0
 		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+		sc.Buffer(scanBuf, 1<<20)
 		for sc.Scan() {
-			if frameType(sc.Text()) == "row" {
+			if bytes.HasPrefix(sc.Bytes(), rowPrefix) {
 				rows++
 			}
 		}
