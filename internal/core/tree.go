@@ -99,9 +99,10 @@ func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink, keepInterm bool)
 }
 
 // teeSink duplicates a join's output into its materialization buffer
-// (stitch-up reuse, §3.4.2) while forwarding it downstream. Only corrective phase trees tee, and they carry
-// unsigned traffic only: maintenance trees are lowered without buffers
-// and re-warm join state from the base logs instead.
+// (stitch-up reuse, §3.4.2) while forwarding it downstream. Only
+// corrective phase trees tee, and they carry unsigned traffic only:
+// maintenance trees are lowered without buffers and re-warm join state
+// from the base logs instead.
 type teeSink struct {
 	buf *state.List
 	out exec.Sink
