@@ -68,13 +68,9 @@ func runJoinBothSides(j *HashJoin, ls, rs []types.Tuple, interleave bool) {
 			}
 		}
 	} else {
-		for _, r := range rs {
-			j.PushRightBatch(one(r))
-		}
+		j.PushRightBatch(rs)
 		j.FinishRight()
-		for _, l := range ls {
-			j.PushLeftBatch(one(l))
-		}
+		j.PushLeftBatch(ls)
 	}
 	j.FinishLeft()
 	j.FinishRight()

@@ -57,18 +57,19 @@ func TestProbeHashedZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestChainLenZeroAllocs pins ChainLen (the monitor's collision signal,
-// charged on every probe) at zero steady-state allocations.
+// TestChainLenZeroAllocs pins ChainLenHashed (the monitor's collision
+// signal, charged on every probe) at zero steady-state allocations.
 func TestChainLenZeroAllocs(t *testing.T) {
 	h := allocTestTable(8192)
-	key := []types.Value{types.Int(3)}
+	key := types.Tuple{types.Int(3)}
+	hash := key.HashKey(types.Identity(len(key)))
 	allocs := testing.AllocsPerRun(1000, func() {
-		if h.ChainLen(key) == 0 {
+		if h.ChainLenHashed(hash) == 0 {
 			t.Fatal("empty chain for present key")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ChainLen allocates %v per run, want 0", allocs)
+		t.Fatalf("ChainLenHashed allocates %v per run, want 0", allocs)
 	}
 }
 

@@ -217,17 +217,11 @@ func (h *HashTable) ProbeHashed(hash uint64, key types.Tuple, fn func(types.Tupl
 	}
 }
 
-// ChainLen returns the number of tuples in the bucket the key hashes to —
-// the probe's scan work. Under-sized tables (built from under-estimated
-// cardinalities) have long chains: "hash buckets in our system cannot be
-// dynamically adjusted, meaning that an overly large relation will still
-// suffer from many bucket collisions" (§4.4).
-func (h *HashTable) ChainLen(key []types.Value) int {
-	probe := types.Tuple(key)
-	return h.ChainLenHashed(probe.HashKey(types.Identity(len(key))))
-}
-
-// ChainLenHashed is ChainLen for a precomputed key hash.
+// ChainLenHashed returns the number of tuples in the bucket a key hash
+// falls in — the probe's scan work. Under-sized tables (built from
+// under-estimated cardinalities) have long chains: "hash buckets in our
+// system cannot be dynamically adjusted, meaning that an overly large
+// relation will still suffer from many bucket collisions" (§4.4).
 func (h *HashTable) ChainLenHashed(hash uint64) int {
 	return len(h.buckets[h.bucketOf(hash)])
 }
